@@ -1,9 +1,11 @@
 """Stochastic gradient oracles: exact, additive Gaussian, mini-batch.
 
-All oracles are unbiased.  Randomness comes from a counter-based Philox
-generator so that any sample can be replayed from (seed, draw_index); each
-solver run owns its own generator, and the randomness for a draw is
-consumed strictly after the query point is fixed.
+All oracles are unbiased.  Randomness comes from a Philox generator seeded
+by OracleConfig.seed; each solver run owns its own generator, and the
+randomness for a draw is consumed strictly after the query point is fixed.
+The generator is sequential: draw i is reproduced by a new oracle with the
+same seed replaying draws 0..i-1 at the same points first, not from
+(seed, draw_index) alone.
 """
 
 from dataclasses import dataclass

@@ -5,7 +5,8 @@ psi is always the indicator of a ball in the B-norm; the prox subproblem
 is a shifted projection (or a linear minimization when H = 0).
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,11 +34,12 @@ class BallDomain:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        object.__setattr__(
-            self, "center", np.asarray(self.center, dtype=np.float64)
-        )
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        center = np.asarray(self.center, dtype=np.float64)
+        if not np.all(np.isfinite(center)):
+            raise ValueError("center entries must be finite")
+        object.__setattr__(self, "center", center)
 
     @property
     def diameter_D(self):
@@ -54,7 +56,9 @@ class CompositeObjective:
     f_eval(x) -> (value, subgradient).  For finite-sum losses, n_rows and
     row_grad are set so that mini-batch oracles can sample unbiased row
     gradients: the uniform mean of row_grad(x, all_rows) equals the full
-    subgradient.
+    subgradient.  Objectives of the form f(x) = loss(A x) also set A and
+    loss(z) -> (value, w), with subgradient A.T @ w, so that solvers can
+    carry A x along instead of recomputing it.
     """
 
     f_eval: Callable[[np.ndarray], tuple]
@@ -63,6 +67,8 @@ class CompositeObjective:
     label: str = ""
     n_rows: Optional[int] = None
     row_grad: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    A: Optional[np.ndarray] = None
+    loss: Optional[Callable[[np.ndarray], tuple]] = None
 
     def value(self, x):
         return self.f_eval(np.asarray(x, dtype=np.float64))[0]
@@ -90,7 +96,7 @@ def prox_step(c, anchor, H, domain, metric):
     """
     c = np.asarray(c, dtype=np.float64)
     anchor = np.asarray(anchor, dtype=np.float64)
-    if H < 0:
+    if not H >= 0:  # also rejects nan, which would select the H = 0 branch
         raise ValueError(f"H must be nonnegative, got {H}")
     if not domain.contains(anchor, metric):
         raise InfeasibleAnchorError(
@@ -108,30 +114,25 @@ def prox_step(c, anchor, H, domain, metric):
 
 def least_squares_f(A, b, domain=None, metric=None, label="least-squares"):
     """f(x) = (1/2) ||Ax - b||_2^2 with gradient A^T (Ax - b)."""
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if A.ndim != 2 or b.shape != (A.shape[0],):
-        raise DataShapeError(f"incompatible shapes A{A.shape}, b{b.shape}")
+    A, b = _check_data(A, b)
     m, n = A.shape
 
-    def f_eval(x):
-        r = A @ x - b
-        return 0.5 * float(np.dot(r, r)), A.T @ r
+    def loss(z):
+        r = z - b
+        return 0.5 * float(np.dot(r, r)), r
 
     def row_grad(x, idx):
         # full gradient is the uniform mean over rows of m * r_i * a_i
         r = A[idx] @ x - b[idx]
         return m * r[:, None] * A[idx]
 
-    return _with_defaults(f_eval, domain, metric, n, label, m, row_grad)
+    return _with_defaults(_lifted(A, loss), domain, metric, n, label, m,
+                          row_grad, A, loss)
 
 
 def logistic_f(features, labels, domain=None, metric=None, label="logistic"):
     """f(x) = sum_i log(1 + exp(-b_i <a_i, x>)) with labels in {-1, +1}."""
-    A = np.asarray(features, dtype=np.float64)
-    b = np.asarray(labels, dtype=np.float64)
-    if A.ndim != 2 or b.shape != (A.shape[0],):
-        raise DataShapeError(f"incompatible shapes A{A.shape}, b{b.shape}")
+    A, b = _check_data(features, labels)
     if not np.all(np.isin(b, (-1.0, 1.0))):
         raise DataShapeError("logistic labels must be in {-1, +1}")
     m, n = A.shape
@@ -145,18 +146,18 @@ def logistic_f(features, labels, domain=None, metric=None, label="logistic"):
         out[~pos] = ez / (1.0 + ez)
         return out
 
-    def f_eval(x):
-        margins = b * (A @ x)
+    def loss(z):
+        margins = b * z
         value = float(np.sum(np.logaddexp(0.0, -margins)))
-        w = -b * _sigmoid(-margins)
-        return value, A.T @ w
+        return value, -b * _sigmoid(-margins)
 
     def row_grad(x, idx):
         margins = b[idx] * (A[idx] @ x)
         w = -b[idx] * _sigmoid(-margins)
         return m * w[:, None] * A[idx]
 
-    return _with_defaults(f_eval, domain, metric, n, label, m, row_grad)
+    return _with_defaults(_lifted(A, loss), domain, metric, n, label, m,
+                          row_grad, A, loss)
 
 
 def p_power_f(A, b, p, domain=None, metric=None, label=None):
@@ -167,10 +168,7 @@ def p_power_f(A, b, p, domain=None, metric=None, label=None):
     """
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must lie in [1, 2], got {p}")
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if A.ndim != 2 or b.shape != (A.shape[0],):
-        raise DataShapeError(f"incompatible shapes A{A.shape}, b{b.shape}")
+    A, b = _check_data(A, b)
     m, n = A.shape
 
     def _row_weights(r):
@@ -180,9 +178,14 @@ def p_power_f(A, b, p, domain=None, metric=None, label=None):
         return w
 
     def f_eval(x):
+        # divides by m after the product; A.T @ loss(A @ x)[1] divides before
         r = A @ x - b
         value = float(np.sum(np.abs(r) ** p)) / m
         return value, A.T @ _row_weights(r) / m
+
+    def loss(z):
+        r = z - b
+        return float(np.sum(np.abs(r) ** p)) / m, _row_weights(r) / m
 
     def row_grad(x, idx):
         r = A[idx] @ x - b[idx]
@@ -190,17 +193,37 @@ def p_power_f(A, b, p, domain=None, metric=None, label=None):
 
     if label is None:
         label = f"p-power(p={p})"
-    return _with_defaults(f_eval, domain, metric, n, label, m, row_grad)
+    return _with_defaults(f_eval, domain, metric, n, label, m, row_grad, A, loss)
 
 
-def _with_defaults(f_eval, domain, metric, n, label, n_rows, row_grad):
+def _check_data(A, b):
+    # asanyarray keeps ndarray subclasses, such as a matrix that counts its
+    # products; np.matrix becomes a plain array, as its @ returns 2-D results
+    A = np.asanyarray(A, dtype=np.float64)
+    if isinstance(A, np.matrix):
+        A = np.asarray(A)
+    b = np.asarray(b, dtype=np.float64)
+    if A.ndim != 2 or b.shape != (A.shape[0],):
+        raise DataShapeError(f"incompatible shapes A{A.shape}, b{b.shape}")
+    return A, b
+
+
+def _lifted(A, loss):
+    """f_eval of f(x) = loss(A x)."""
+    def f_eval(x):
+        value, w = loss(A @ x)
+        return value, A.T @ w
+    return f_eval
+
+
+def _with_defaults(f_eval, domain, metric, n, label, n_rows, row_grad, A, loss):
     if metric is None:
         metric = MetricSpace.euclidean(n)
     if domain is None:
         domain = BallDomain(np.zeros(n), 1.0)
     return CompositeObjective(
         f_eval=f_eval, domain=domain, metric=metric, label=label,
-        n_rows=n_rows, row_grad=row_grad,
+        n_rows=n_rows, row_grad=row_grad, A=A, loss=loss,
     )
 
 

@@ -34,8 +34,12 @@ class TraceRecord:
 
 def balance_update(H, beta, rho, omega):
     """Closed-form solution H+ of (H+ - H) * omega = [beta - H+ * rho]_+."""
-    if omega <= 0 or rho < 0 or H < 0:
-        raise ValueError(f"invalid balance inputs H={H}, rho={rho}, omega={omega}")
+    # written so that nan fails every comparison: a nan beta or H would
+    # otherwise come back as a nan H, which prox_step cannot use
+    if not (omega > 0 and rho >= 0 and 0 <= H < math.inf
+            and -math.inf < beta < math.inf):
+        raise ValueError(f"invalid balance inputs H={H}, beta={beta}, "
+                         f"rho={rho}, omega={omega}")
     return H + max(beta - H * rho, 0.0) / (omega + rho)
 
 
@@ -151,6 +155,31 @@ def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     return xbar, trace
 
 
+def _usfgm_evaluators(obj, oracle, deterministic):
+    """(mat, at_y, at_next) for run_usfgm.
+
+    at_y and at_next map a point z to (f value or nan, w).  With mat set,
+    z = mat @ x and the gradient is mat.T @ w; with mat None, z = x and w
+    is the gradient.  Only the built-in exact oracle is bypassed; any other
+    oracle is drawn at every point, as wrappers around it expect.
+    """
+    if type(oracle) is Oracle and oracle.cfg.kind == "exact":
+        if obj.A is not None:
+            return obj.A, obj.loss, obj.loss
+        return None, obj.f_eval, obj.f_eval
+    if deterministic:
+        def at_y(z):
+            return obj.value(z), oracle.draw(z).g
+
+        def at_next(z):
+            return obj.value(z), None
+        return None, at_y, at_next
+
+    def at_point(z):
+        return math.nan, oracle.draw(z).g
+    return None, at_point, at_point
+
+
 def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
               surrogate_mode="stochastic_symmetrized", callbacks=(),
               x0=None, trace_every=1):
@@ -160,6 +189,17 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
     Bregman term (works with any oracle) or the exact Bregman distance
     (deterministic_bregman; requires an exact oracle, gives better
     constants).
+
+    With the built-in exact oracle and an objective f(x) = loss(A x), the
+    loop carries z = A x and A v: A y and A x_next are the same convex
+    combinations of them as y and x_next are of x and v.  Both surrogates
+    pair w with differences of z, as <A.T w, d> = <w, A d>, so an iteration
+    makes two matrix-vector products in either mode, A @ v_next and
+    A.T @ w_y, and F(y), F(x_next) and the traced F come from the loss of
+    the carried products.
+    Other objectives run the same loop with z = x.  Noisy and user-supplied
+    oracles are drawn at y and x_next.  cum_oracle_calls counts the points
+    where f or its gradient is evaluated for the step: two per iteration.
     """
     if surrogate_mode not in ("stochastic_symmetrized", "deterministic_bregman"):
         raise ValueError(f"unknown surrogate mode {surrogate_mode!r}")
@@ -171,37 +211,48 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
     if D is None:
         D = domain.diameter_D
     x = np.array(domain.center if x0 is None else x0, dtype=np.float64)
-    v = x.copy()
+    v = x
+    mat, at_y, at_next = _usfgm_evaluators(obj, oracle, deterministic)
+    if mat is None:
+        zx = zv = x
+    else:
+        mat_T = mat.T
+        zx = zv = mat @ x
     H = 0.0
-    A = 0.0
+    A_k = 0.0
     trace = []
     t0 = time.monotonic()
     for k in range(max_iters):
-        a_next = float(k + 1)
-        A_next = A + a_next
-        y = (A * x + a_next * v) / A_next
-        g_y = oracle.draw(y).g
-        v_next = prox_step(a_next * g_y, v, H, domain, metric)
-        x_next = (A * x + a_next * v_next) / A_next
-        r = norm(metric, v_next - v)
-        if deterministic:
-            f_y = obj.value(y)
-            f_next = obj.value(x_next)
-            beta_hat = f_next - f_y - pairing(g_y, x_next - y)
+        a = float(k + 1)
+        A_next = A_k + a
+        zy = (A_k * zx + a * zv) / A_next
+        f_y, w_y = at_y(zy)
+        g_y = w_y if mat is None else mat_T @ w_y
+        v_next = prox_step(a * g_y, v, H, domain, metric)
+        if mat is None:
+            zv_next = v_next
+            x_next = zx_next = (A_k * zx + a * v_next) / A_next
         else:
-            g_x_next = oracle.draw(x_next).g
-            beta_hat = pairing(g_x_next - g_y, x_next - y)
+            zv_next = mat @ v_next
+            zx_next = (A_k * zx + a * zv_next) / A_next
+            x_next = (A_k * x + a * v_next) / A_next
+        r = norm(metric, v_next - v)
+        f_next, w_next = at_next(zx_next)
+        if deterministic:
+            beta_hat = f_next - f_y - pairing(w_y, zx_next - zy)
+        else:
+            beta_hat = pairing(w_next - w_y, zx_next - zy)
         H = balance_update(H, A_next * beta_hat, 0.5 * r * r, D * D)
         if (k + 1) % trace_every == 0 or k + 1 == max_iters:
-            F_val = f_next if deterministic else obj.value(x_next)
+            F_val = obj.value(x_next) if math.isnan(f_next) else f_next
         else:
             F_val = math.nan
         _emit(trace, callbacks, TraceRecord(
             k=k + 1, F_value=F_val, H=H, r=r, beta_surrogate=beta_hat,
-            certificate_gap=math.nan, cum_oracle_calls=oracle.calls,
+            certificate_gap=math.nan, cum_oracle_calls=2 * (k + 1),
             wall_time_s=time.monotonic() - t0,
         ))
-        x, v, A = x_next, v_next, A_next
+        x, v, zx, zv, A_k = x_next, v_next, zx_next, zv_next, A_next
     return x, trace
 
 

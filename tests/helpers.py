@@ -77,3 +77,27 @@ class RecordingOracle:
         sample = self.inner.draw(x)
         self.gs.append(np.array(sample.g))
         return sample
+
+
+class CountingMatrix(np.ndarray):
+    """A float matrix that counts its products, its transpose's included.
+
+    Views such as ``.T`` share the counter; products are returned as plain
+    arrays, so only products with the matrix itself are counted.
+    """
+
+    def __new__(cls, A):
+        obj = np.asarray(A, dtype=np.float64).view(cls)
+        obj.products = [0]
+        return obj
+
+    def __array_finalize__(self, obj):
+        self.products = getattr(obj, "products", [0])
+
+    def __matmul__(self, other):
+        self.products[0] += 1
+        return np.asarray(np.ndarray.__matmul__(self, other))
+
+    @property
+    def count(self):
+        return self.products[0]

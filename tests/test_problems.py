@@ -47,6 +47,12 @@ class TestProxStep:
         with pytest.raises(InfeasibleAnchorError):
             prox_step([1.0, 0.0], [2.0, 0.0], 1.0, domain, metric)
 
+    def test_nan_H_rejected(self, unit_ball_2d):
+        # nan fails H > 0 too, and would silently select the LMO vertex
+        domain, metric = unit_ball_2d
+        with pytest.raises(ValueError):
+            prox_step([1.0, 0.0], np.zeros(2), np.nan, domain, metric)
+
     def test_result_always_feasible(self):
         rng = np.random.Generator(np.random.Philox(5))
         metric = MetricSpace(4, rng.uniform(0.2, 5.0, 4))
@@ -78,6 +84,18 @@ class TestProxStep:
                 rhs = (prox_obj(c, x_plus, anchor, H)
                        + 0.5 * H * norm(metric, x - x_plus) ** 2)
                 assert lhs >= rhs - 1e-9
+
+
+class TestBallDomain:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError):
+            BallDomain(np.zeros(2), radius)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_center_must_be_finite(self, bad):
+        with pytest.raises(ValueError):
+            BallDomain(np.array([0.0, bad]), 1.0)
 
 
 class TestProjectBall:
@@ -212,12 +230,28 @@ class TestPPower:
             p_power_f(np.eye(2), np.zeros(2), 2.5)
 
 
-@pytest.mark.parametrize("make_obj", [
+MAKE_OBJS = [
     lambda rng: least_squares_f(rng.random((8, 4)), rng.random(8)),
     lambda rng: logistic_f(rng.standard_normal((8, 4)),
                            np.sign(rng.standard_normal(8))),
     lambda rng: p_power_f(rng.random((8, 4)), rng.random(8), 1.5),
-])
+]
+
+
+@pytest.mark.parametrize("make_obj", MAKE_OBJS)
+def test_loss_of_A_x_gives_f_eval(make_obj):
+    # the A/loss structure the solvers may use instead of f_eval
+    rng = np.random.Generator(np.random.Philox(14))
+    obj = make_obj(rng)
+    for _ in range(20):
+        x = sample_in_ball(obj.domain, obj.metric, rng)
+        f, g = obj.f_eval(x)
+        value, w = obj.loss(obj.A @ x)
+        assert value == f
+        np.testing.assert_allclose(obj.A.T @ w, g, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("make_obj", MAKE_OBJS)
 def test_bregman_nonnegativity(make_obj):
     rng = np.random.Generator(np.random.Philox(13))
     obj = make_obj(rng)

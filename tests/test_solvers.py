@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import RecordingOracle, grid_max_concave, linear_objective
+from helpers import CountingMatrix, RecordingOracle, grid_max_concave, linear_objective
 from ugbench.metric import MetricSpace, dual_norm, norm
 from ugbench.oracles import Oracle, OracleConfig
-from ugbench.problems import BallDomain, least_squares_f, project_ball, prox_step
+from ugbench.problems import (
+    BallDomain,
+    CompositeObjective,
+    least_squares_f,
+    project_ball,
+    prox_step,
+)
 from ugbench.solvers import (
     balance_update,
     reg_max_bound,
@@ -51,6 +57,21 @@ class TestBalanceUpdate:
             balance_update(0.0, 0.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             balance_update(0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("H, beta", [
+        (0.0, math.nan), (0.0, math.inf), (0.0, -math.inf),
+        (math.nan, 1.0), (math.inf, 1.0),
+    ])
+    def test_non_finite_H_or_beta_rejected(self, H, beta):
+        # a nan H would reach prox_step, whose H = 0 branch is a Frank-Wolfe step
+        with pytest.raises(ValueError):
+            balance_update(H, beta, 0.5, 4.0)
+
+    def test_nan_rho_or_omega_rejected(self):
+        with pytest.raises(ValueError):
+            balance_update(0.0, 1.0, math.nan, 4.0)
+        with pytest.raises(ValueError):
+            balance_update(0.0, 1.0, 0.5, math.nan)
 
 
 class TestRegMaxBound:
@@ -185,6 +206,9 @@ class TestUsgm:
                 assert rec.H <= hp + 1e-9
 
 
+MODES = ("stochastic_symmetrized", "deterministic_bregman")
+
+
 class TestUsfgm:
     def test_first_step_degeneracy_matches_manual_recursion(self, ls_instance):
         # replay two iterations by hand: A_k = k(k+1)/2, y_0 = v_0 = x_0
@@ -238,6 +262,95 @@ class TestUsfgm:
         x_final, trace = run_usfgm(ls_instance, cfg, max_iters=200)
         assert norm(ls_instance.metric, x_final - ls_instance.domain.center) \
             <= ls_instance.domain.radius * (1 + 1e-9)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_carried_products_match_identity_lift(self, ls_instance, mode):
+        # the same least-squares f without its A/loss structure runs on z = x
+        opaque = CompositeObjective(f_eval=ls_instance.f_eval,
+                                    domain=ls_instance.domain,
+                                    metric=ls_instance.metric)
+        assert opaque.A is None and ls_instance.A is not None
+        x_s, tr_s = run_usfgm(ls_instance, surrogate_mode=mode, max_iters=200)
+        x_o, tr_o = run_usfgm(opaque, surrogate_mode=mode, max_iters=200)
+        np.testing.assert_allclose([r.H for r in tr_s], [r.H for r in tr_o],
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose([r.F_value for r in tr_s],
+                                   [r.F_value for r in tr_o], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(x_s, x_o, rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("mode, oracle", [
+        (mode, oracle) for mode in MODES
+        for oracle in ("exact", "recording", "opaque")
+    ] + [("stochastic_symmetrized", "gaussian")])
+    def test_two_evaluations_per_iteration_reported(self, ls_instance, mode,
+                                                    oracle):
+        obj = ls_instance
+        if oracle == "gaussian":
+            arg = OracleConfig(kind="gaussian", sigma=0.5, seed=1)
+        elif oracle == "recording":
+            arg = RecordingOracle(Oracle(obj))
+        else:
+            arg = None
+            if oracle == "opaque":
+                obj = CompositeObjective(f_eval=obj.f_eval, domain=obj.domain,
+                                         metric=obj.metric)
+        _, trace = run_usfgm(obj, arg, surrogate_mode=mode, max_iters=20,
+                             trace_every=3)
+        assert [r.cum_oracle_calls for r in trace] == list(range(2, 42, 2))
+
+    @pytest.mark.parametrize("mode, draws_per_iter", [
+        ("stochastic_symmetrized", 2), ("deterministic_bregman", 1)])
+    def test_user_oracle_sees_every_draw(self, ls_instance, mode,
+                                         draws_per_iter):
+        oracle = RecordingOracle(Oracle(ls_instance))
+        _, trace = run_usfgm(ls_instance, oracle, surrogate_mode=mode,
+                             max_iters=50)
+        assert len(oracle.gs) == draws_per_iter * 50 == oracle.calls
+        # the first draw is at y_0 = x_0, the centre
+        np.testing.assert_array_equal(
+            oracle.gs[0], ls_instance.subgradient(ls_instance.domain.center))
+        _, plain = run_usfgm(ls_instance, surrogate_mode=mode, max_iters=50)
+        np.testing.assert_allclose([r.H for r in trace], [r.H for r in plain],
+                                   rtol=1e-10, atol=0)
+
+    def test_wrapped_noisy_oracle_gives_the_same_trace(self, ls_instance):
+        cfg = OracleConfig(kind="gaussian", sigma=0.5, seed=9)
+        oracle = RecordingOracle(Oracle(ls_instance, cfg))
+        _, wrapped = run_usfgm(ls_instance, oracle, max_iters=50)
+        _, plain = run_usfgm(ls_instance, cfg, max_iters=50)
+        assert len(oracle.gs) == 100
+
+        def fields(trace):
+            return [(r.F_value, r.H, r.r, r.beta_surrogate, r.cum_oracle_calls)
+                    for r in trace]
+        assert fields(wrapped) == fields(plain)
+
+
+class TestMatvecCounts:
+    """Products with A per iteration, monitoring at every iteration included."""
+
+    @pytest.fixture
+    def counted(self):
+        rng = np.random.Generator(np.random.Philox(51))
+        A = CountingMatrix(rng.random((30, 10)))
+        x_star = rng.standard_normal(10)
+        x_star /= np.linalg.norm(x_star)
+        obj = least_squares_f(A, A @ x_star)
+        assert obj.A is A
+        return obj, A
+
+    def test_ugm(self, counted):
+        obj, A = counted
+        start = A.count
+        run_ugm(obj, max_iters=10)
+        assert A.count - start == 2 + 2 * 10  # f_eval(x_0), then one per iteration
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_usfgm_exact_oracle(self, counted, mode):
+        obj, A = counted
+        start = A.count
+        run_usfgm(obj, surrogate_mode=mode, max_iters=10)
+        assert A.count - start == 1 + 2 * 10  # A @ x_0, then two per iteration
 
 
 class TestProjectedSubgrad:
