@@ -4,13 +4,16 @@ Accumulating the affine minorants f(x_i) + <g_i, x - x_i> of f along a run
 gives a model whose minimum over the ball, phi_star, never exceeds F*.
 The gap eps_star = best_F - phi_star therefore upper-bounds the true
 optimality gap of the best iterate and yields a reliable stopping rule.
+
+certificate_update and certificate_gap validate their arguments; run_ugm
+calls their kernels _fold and _phi_star directly.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import dual_norm, pairing
+from .metric import DimensionMismatchError, _dual_norm, _pairing
 
 
 @dataclass
@@ -34,15 +37,24 @@ def certificate_update(acc, x_k, g_k, f_k, F_k):
     """
     x_k = np.asarray(x_k, dtype=np.float64)
     g_k = np.asarray(g_k, dtype=np.float64)
-    if acc.sum_g is None:
-        acc.sum_g = np.zeros_like(g_k)
-    acc.k += 1
-    acc.sum_g += g_k
-    acc.sum_affine_const += f_k - pairing(g_k, x_k)
+    if g_k.shape != x_k.shape:
+        raise DimensionMismatchError(
+            f"shapes {g_k.shape} and {x_k.shape} do not match"
+        )
+    _fold(acc, x_k, g_k, f_k)
     if F_k < acc.best_F:
         acc.best_F = F_k
         acc.best_x = x_k.copy()
     return acc
+
+
+def _fold(acc, x_k, g_k, f_k):
+    """Add the linearization f_k + <g_k, x - x_k> to the model sums."""
+    if acc.sum_g is None:
+        acc.sum_g = np.zeros_like(g_k)
+    acc.k += 1
+    acc.sum_g += g_k
+    acc.sum_affine_const += f_k - _pairing(g_k, x_k)
 
 
 def certificate_gap(acc, domain, metric):
@@ -53,11 +65,17 @@ def certificate_gap(acc, domain, metric):
     """
     if acc.k < 1:
         raise ValueError("certificate_gap requires at least one update")
+    metric.check_dim(acc.sum_g)
+    metric.check_dim(domain.center)
+    phi_star = _phi_star(acc, domain, metric)
+    return phi_star, acc.best_F - phi_star
+
+
+def _phi_star(acc, domain, metric):
     c_bar = acc.sum_g / acc.k
     kappa = acc.sum_affine_const / acc.k
-    phi_star = (
+    return (
         kappa
-        + pairing(c_bar, domain.center)
-        - domain.radius * dual_norm(metric, c_bar)
+        + _pairing(c_bar, domain.center)
+        - domain.radius * _dual_norm(metric.b_diag, c_bar)
     )
-    return phi_star, acc.best_F - phi_star

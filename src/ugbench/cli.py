@@ -52,10 +52,16 @@ class RunConfig:
     b_diag: tuple = None             # default identity metric
 
     def __post_init__(self):
+        if not 0.0 < self.radius < math.inf:
+            raise ConfigError(
+                f"radius must be positive and finite, got {self.radius}")
         if self.D is None:
             self.D = 2.0 * self.radius
-        if self.D <= 0:
-            raise ConfigError(f"D must be positive, got {self.D}")
+        # D*D is the balance equation's Omega: it must neither underflow to
+        # 0 nor be infinite, which would keep H at 0 (a Frank-Wolfe method)
+        if not (self.D > 0 and 0.0 < self.D * self.D < math.inf):
+            raise ConfigError(
+                f"D must be positive with 0 < D*D < inf, got {self.D}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if self.max_iters < 0 or self.trace_every < 1:

@@ -3,8 +3,14 @@
 The primal norm is ||x|| = <Bx, x>^(1/2), the dual norm is
 ||s||_* = <s, B^-1 s>^(1/2).  Only diagonal B is supported so that
 projections and prox steps stay closed-form.
+
+The public functions validate their arguments on every call and then call
+a private kernel (``_norm``, ``_dual_norm``, ``_pairing``) that takes
+float64 vectors as they are.  Solvers validate once at entry and call the
+kernels directly.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +55,12 @@ class MetricSpace:
 
 def norm(space, x):
     """Primal norm sqrt(sum_i b[i] * x[i]^2)."""
-    x = space.check_dim(x)
-    return float(np.sqrt(np.dot(space.b_diag * x, x)))
+    return _norm(space.b_diag, space.check_dim(x))
 
 
 def dual_norm(space, s):
     """Dual norm sqrt(sum_i s[i]^2 / b[i])."""
-    s = space.check_dim(s)
-    return float(np.sqrt(np.dot(s / space.b_diag, s)))
+    return _dual_norm(space.b_diag, space.check_dim(s))
 
 
 def pairing(s, x):
@@ -67,4 +71,16 @@ def pairing(s, x):
         raise DimensionMismatchError(
             f"shapes {s.shape} and {x.shape} do not match"
         )
-    return float(np.dot(s, x))
+    return _pairing(s, x)
+
+
+def _norm(b, x):
+    return math.sqrt((b * x).dot(x))
+
+
+def _dual_norm(b, s):
+    return math.sqrt((s / b).dot(s))
+
+
+def _pairing(s, x):
+    return float(s.dot(x))

@@ -9,12 +9,12 @@ same seed replaying draws 0..i-1 at the same points first, not from
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class GradientSample:
+class GradientSample(NamedTuple):
     g: np.ndarray
     draw_index: int
 
@@ -50,37 +50,67 @@ def gaussian_oracle(obj, x, cfg, rng):
 
     Under diagonal B the per-coordinate std is sigma * sqrt(b[i] / dim).
     """
-    g = obj.subgradient(x)
-    if cfg.sigma == 0.0:
-        return g
-    dim = obj.metric.dim
-    scale = cfg.sigma * np.sqrt(obj.metric.b_diag / dim)
-    return g + scale * rng.standard_normal(dim)
+    sample = _gaussian_sampler(obj, cfg.sigma, rng)
+    return sample(np.asarray(x, dtype=np.float64))
 
 
 def minibatch_oracle(obj, x, cfg, rng):
     """Average row gradient over batch_size rows sampled with replacement."""
+    sample = _minibatch_sampler(obj, cfg, rng)
+    return sample(np.asarray(x, dtype=np.float64))
+
+
+# Samplers: x -> gradient sample, with the objective's callables looked up
+# at each call and everything else checked and computed once, when bound.
+
+def _exact_sampler(obj):
+    return lambda x: obj.f_eval(x)[1]
+
+
+def _gaussian_sampler(obj, sigma, rng):
+    if sigma == 0.0:
+        return _exact_sampler(obj)
+    dim = obj.metric.dim
+    scale = sigma * np.sqrt(obj.metric.b_diag / dim)
+    normal = rng.standard_normal
+    return lambda x: obj.f_eval(x)[1] + scale * normal(dim)
+
+
+def _minibatch_sampler(obj, cfg, rng):
     if obj.row_grad is None or obj.n_rows is None:
         raise ValueError("objective does not decompose into per-row losses")
     if cfg.batch_size > obj.n_rows:
         raise ValueError(
             f"batch_size {cfg.batch_size} exceeds {obj.n_rows} dataset rows"
         )
+    n_rows, batch_size = obj.n_rows, cfg.batch_size
     if cfg.full_batch:
-        idx = np.arange(obj.n_rows)
-    else:
-        idx = rng.integers(0, obj.n_rows, size=cfg.batch_size)
-    return obj.row_grad(np.asarray(x, dtype=np.float64), idx).mean(axis=0)
+        rows = np.arange(n_rows)
+        return lambda x: obj.row_grad(x, rows).mean(axis=0)
+    integers = rng.integers
+    return lambda x: obj.row_grad(
+        x, integers(0, n_rows, size=batch_size)).mean(axis=0)
 
 
 class Oracle:
-    """Stateful wrapper handing out GradientSamples for one solver run."""
+    """Stateful wrapper handing out GradientSamples for one solver run.
+
+    The sampler for cfg.kind is checked and bound once, here; draw takes
+    a float64 vector as the solvers pass it.
+    """
 
     def __init__(self, obj, cfg=None):
         self.obj = obj
         self.cfg = cfg if cfg is not None else OracleConfig()
         self.rng = make_rng(self.cfg.seed)
         self.calls = 0
+        kind = self.cfg.kind
+        if kind == "exact":
+            self._sample = _exact_sampler(obj)
+        elif kind == "gaussian":
+            self._sample = _gaussian_sampler(obj, self.cfg.sigma, self.rng)
+        else:
+            self._sample = _minibatch_sampler(obj, self.cfg, self.rng)
 
     @property
     def is_exact(self):
@@ -89,12 +119,6 @@ class Oracle:
         )
 
     def draw(self, x):
-        if self.cfg.kind == "exact":
-            g = exact_oracle(self.obj, x)
-        elif self.cfg.kind == "gaussian":
-            g = gaussian_oracle(self.obj, x, self.cfg, self.rng)
-        else:
-            g = minibatch_oracle(self.obj, x, self.cfg, self.rng)
-        sample = GradientSample(g=g, draw_index=self.calls)
+        sample = GradientSample(self._sample(x), self.calls)
         self.calls += 1
         return sample

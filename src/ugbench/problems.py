@@ -3,6 +3,11 @@
 psi is always the indicator of a ball in the B-norm; the prox subproblem
     argmin_{x in ball} <c, x> + (H/2) ||x - anchor||^2
 is a shifted projection (or a linear minimization when H = 0).
+
+prox_step and project_ball validate their arguments on every call, then
+call the kernels _prox_step and _project_ball, which solvers call
+directly after validating once at entry.  What a user's f_eval returns
+stays outside input: solvers pass each subgradient through _gradient.
 """
 
 import math
@@ -11,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .metric import MetricSpace, dual_norm, norm, pairing
+from .metric import (DimensionMismatchError, MetricSpace, _dual_norm, _norm,
+                     dual_norm, norm)
 
 # relative slack when checking that a prox anchor is feasible; absorbs
 # round-off from earlier projections
@@ -58,7 +64,11 @@ class CompositeObjective:
     gradients: the uniform mean of row_grad(x, all_rows) equals the full
     subgradient.  Objectives of the form f(x) = loss(A x) also set A and
     loss(z) -> (value, w), with subgradient A.T @ w, so that solvers can
-    carry A x along instead of recomputing it.
+    carry A x along instead of recomputing it; value(x) then evaluates
+    loss(A x) alone, one product instead of two.
+
+    The subgradient must have the shape of x; solvers check that on
+    every evaluation.
     """
 
     f_eval: Callable[[np.ndarray], tuple]
@@ -71,7 +81,10 @@ class CompositeObjective:
     loss: Optional[Callable[[np.ndarray], tuple]] = None
 
     def value(self, x):
-        return self.f_eval(np.asarray(x, dtype=np.float64))[0]
+        x = np.asarray(x, dtype=np.float64)
+        if self.A is not None and self.loss is not None:
+            return self.loss(self.A @ x)[0]
+        return self.f_eval(x)[0]
 
     def subgradient(self, x):
         return self.f_eval(np.asarray(x, dtype=np.float64))[1]
@@ -79,9 +92,12 @@ class CompositeObjective:
 
 def project_ball(x, domain, metric):
     """B-metric projection onto the ball (radial scaling)."""
-    x = np.asarray(x, dtype=np.float64)
+    return _project_ball(metric.check_dim(x), domain, metric)
+
+
+def _project_ball(x, domain, metric):
     d = x - domain.center
-    r = norm(metric, d)
+    r = _norm(metric.b_diag, d)
     if r <= domain.radius:
         return x
     return domain.center + (domain.radius / r) * d
@@ -94,22 +110,42 @@ def prox_step(c, anchor, H, domain, metric):
     degenerates to linear minimization over the ball (ties at c = 0 go to
     the anchor, keeping runs deterministic).
     """
-    c = np.asarray(c, dtype=np.float64)
-    anchor = np.asarray(anchor, dtype=np.float64)
+    return _prox_step(metric.check_dim(c), metric.check_dim(anchor), H,
+                      domain, metric)
+
+
+def _prox_step(c, anchor, H, domain, metric):
     if not H >= 0:  # also rejects nan, which would select the H = 0 branch
         raise ValueError(f"H must be nonnegative, got {H}")
-    if not domain.contains(anchor, metric):
+    b = metric.b_diag
+    dist = _norm(b, anchor - domain.center)
+    if not dist <= domain.radius * (1.0 + ANCHOR_FEAS_TOL):
         raise InfeasibleAnchorError(
             "prox anchor lies outside the domain "
-            f"(||anchor - center|| = {norm(metric, anchor - domain.center)!r}, "
-            f"radius = {domain.radius!r})"
+            f"(||anchor - center|| = {dist!r}, radius = {domain.radius!r})"
         )
     if H > 0:
-        return project_ball(anchor - c / (H * metric.b_diag), domain, metric)
-    dn = dual_norm(metric, c)
+        return _project_ball(anchor - c / (H * b), domain, metric)
+    dn = _dual_norm(b, c)
     if dn == 0.0:
         return anchor
-    return domain.center - (domain.radius / dn) * (c / metric.b_diag)
+    return domain.center - (domain.radius / dn) * (c / b)
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _gradient(g, shape):
+    """A subgradient from outside code as a float64 vector of the given shape.
+
+    Costs a class, dtype and shape compare when g already is one.
+    """
+    if g.__class__ is not np.ndarray or g.dtype is not _FLOAT64:
+        g = np.asarray(g, dtype=np.float64)
+    if g.shape != shape:
+        raise DimensionMismatchError(
+            f"subgradient has shape {g.shape}, expected {shape}")
+    return g
 
 
 def least_squares_f(A, b, domain=None, metric=None, label="least-squares"):
@@ -123,8 +159,9 @@ def least_squares_f(A, b, domain=None, metric=None, label="least-squares"):
 
     def row_grad(x, idx):
         # full gradient is the uniform mean over rows of m * r_i * a_i
-        r = A[idx] @ x - b[idx]
-        return m * r[:, None] * A[idx]
+        rows = A[idx]
+        r = rows @ x - b[idx]
+        return m * r[:, None] * rows
 
     return _with_defaults(_lifted(A, loss), domain, metric, n, label, m,
                           row_grad, A, loss)
@@ -152,9 +189,10 @@ def logistic_f(features, labels, domain=None, metric=None, label="logistic"):
         return value, -b * _sigmoid(-margins)
 
     def row_grad(x, idx):
-        margins = b[idx] * (A[idx] @ x)
-        w = -b[idx] * _sigmoid(-margins)
-        return m * w[:, None] * A[idx]
+        rows, signs = A[idx], b[idx]
+        margins = signs * (rows @ x)
+        w = -signs * _sigmoid(-margins)
+        return m * w[:, None] * rows
 
     return _with_defaults(_lifted(A, loss), domain, metric, n, label, m,
                           row_grad, A, loss)
@@ -188,8 +226,9 @@ def p_power_f(A, b, p, domain=None, metric=None, label=None):
         return float(np.sum(np.abs(r) ** p)) / m, _row_weights(r) / m
 
     def row_grad(x, idx):
-        r = A[idx] @ x - b[idx]
-        return _row_weights(r)[:, None] * A[idx]
+        rows = A[idx]
+        r = rows @ x - b[idx]
+        return _row_weights(r)[:, None] * rows
 
     if label is None:
         label = f"p-power(p={p})"

@@ -5,23 +5,37 @@ solves the balance equation (H+ - H) * Omega = [beta - H+ * rho]_+ in
 closed form, where beta is a (surrogate) Bregman-distance term, rho = r^2/2
 with r the step length, and Omega = D^2 with D the domain diameter.  The
 diameter is the only parameter any of these methods needs.
+
+Each solver validates its inputs once, at entry (_diameter, _start_point),
+and then iterates on the unchecked kernels of the metric, prox and
+certificate helpers.  Per iteration only what outside code returns is
+checked: each subgradient from f_eval or an oracle (_gradient), the prox
+anchor's feasibility (_prox_step) and, in balance_update, that beta and H
+are finite.
 """
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .certificate import CertificateAccumulator, certificate_gap, certificate_update
-from .metric import dual_norm, norm, pairing
+# The validating helpers (certificate_gap, certificate_update, norm,
+# dual_norm, pairing, prox_step, project_ball) stay importable from this
+# module, where perfbench's tracer wraps them; the loops call the kernels.
+from .certificate import (  # noqa: F401
+    CertificateAccumulator, _fold, _phi_star, certificate_gap,
+    certificate_update)
+from .metric import (  # noqa: F401
+    _dual_norm, _norm, _pairing, dual_norm, norm, pairing)
 from .oracles import Oracle, OracleConfig
-from .problems import project_ball, prox_step
+from .problems import (  # noqa: F401
+    _gradient, _project_ball, _prox_step, project_ball, prox_step)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One iteration's record; the solvers build it positionally."""
+
     k: int
     F_value: float
     H: float
@@ -62,6 +76,25 @@ def _emit(trace, callbacks, record):
         cb(record)
 
 
+def _diameter(obj, D):
+    """D, by default the domain's diameter; must satisfy 0 < D*D < inf."""
+    if D is None:
+        D = obj.domain.diameter_D
+    # D*D can underflow to 0 or overflow, and an infinite D would keep H at
+    # 0, turning every method into a Frank-Wolfe step
+    if not (D > 0 and 0.0 < D * D < math.inf):
+        raise ValueError(f"D must be positive with 0 < D*D < inf, got {D!r}")
+    return D
+
+
+def _start_point(obj, x0):
+    """x0, by default the ball's centre, as a new float64 vector."""
+    metric = obj.metric
+    metric.check_dim(obj.domain.center)
+    return metric.check_dim(np.array(
+        obj.domain.center if x0 is None else x0, dtype=np.float64))
+
+
 def _as_oracle(obj, oracle):
     if oracle is None:
         return Oracle(obj, OracleConfig(kind="exact"))
@@ -80,35 +113,35 @@ def run_ugm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     oracle = _as_oracle(obj, oracle)
     if not oracle.is_exact:
         raise ValueError("run_ugm requires an exact oracle")
-    domain, metric = obj.domain, obj.metric
-    if D is None:
-        D = domain.diameter_D
-    x = np.array(domain.center if x0 is None else x0, dtype=np.float64)
+    domain, metric, f_eval = obj.domain, obj.metric, obj.f_eval
+    D = _diameter(obj, D)
+    omega = D * D
+    x = _start_point(obj, x0)
+    b, shape = metric.b_diag, x.shape
     H = 0.0
     acc = CertificateAccumulator()
-    f_x, g_x = obj.f_eval(x)
-    best_F, best_x = f_x, x.copy()
+    f_x, g_x = f_eval(x)
+    g_x = _gradient(g_x, shape)
+    best_F, best_x = f_x, x
     trace = []
     t0 = time.monotonic()
     for k in range(max_iters):
-        certificate_update(acc, x, g_x, f_x, f_x)
-        x_next = prox_step(g_x, x, H, domain, metric)
-        r = norm(metric, x_next - x)
-        f_next, g_next = obj.f_eval(x_next)
-        beta = f_next - f_x - pairing(g_x, x_next - x)
-        H = balance_update(H, beta, 0.5 * r * r, D * D)
+        _fold(acc, x, g_x, f_x)
+        x_next = _prox_step(g_x, x, H, domain, metric)
+        d = x_next - x
+        r = _norm(b, d)
+        f_next, g_next = f_eval(x_next)
+        g_next = _gradient(g_next, shape)
+        beta = f_next - f_x - _pairing(g_x, d)
+        H = balance_update(H, beta, 0.5 * r * r, omega)
         if f_next < best_F:
-            best_F, best_x = f_next, x_next.copy()
+            best_F, best_x = f_next, x_next
         if (k + 1) % trace_every == 0 or k + 1 == max_iters:
-            phi_star, _ = certificate_gap(acc, domain, metric)
-            gap = best_F - phi_star
+            gap = best_F - _phi_star(acc, domain, metric)
         else:
             gap = math.nan
         _emit(trace, callbacks, TraceRecord(
-            k=k + 1, F_value=f_next, H=H, r=r, beta_surrogate=beta,
-            certificate_gap=gap, cum_oracle_calls=k + 1,
-            wall_time_s=time.monotonic() - t0,
-        ))
+            k + 1, f_next, H, r, beta, gap, k + 1, time.monotonic() - t0))
         x, f_x, g_x = x_next, f_next, g_next
     return best_x, trace
 
@@ -124,21 +157,23 @@ def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     if report not in ("average", "last"):
         raise ValueError(f"unknown report mode {report!r}")
     oracle = _as_oracle(obj, oracle)
-    domain, metric = obj.domain, obj.metric
-    if D is None:
-        D = domain.diameter_D
-    x = np.array(domain.center if x0 is None else x0, dtype=np.float64)
+    domain, metric, draw = obj.domain, obj.metric, oracle.draw
+    D = _diameter(obj, D)
+    omega = D * D
+    x = _start_point(obj, x0)
+    b, shape = metric.b_diag, x.shape
     H = 0.0
-    g = oracle.draw(x).g
+    g = _gradient(draw(x).g, shape)
     xbar_sum = np.zeros_like(x)
     trace = []
     t0 = time.monotonic()
     for k in range(max_iters):
-        x_next = prox_step(g, x, H, domain, metric)
-        g_next = oracle.draw(x_next).g
-        r = norm(metric, x_next - x)
-        beta_hat = pairing(g_next - g, x_next - x)
-        H = balance_update(H, beta_hat, 0.5 * r * r, D * D)
+        x_next = _prox_step(g, x, H, domain, metric)
+        g_next = _gradient(draw(x_next).g, shape)
+        d = x_next - x
+        r = _norm(b, d)
+        beta_hat = _pairing(g_next - g, d)
+        H = balance_update(H, beta_hat, 0.5 * r * r, omega)
         xbar_sum += x_next
         if (k + 1) % trace_every == 0 or k + 1 == max_iters:
             point = xbar_sum / (k + 1) if report == "average" else x_next
@@ -146,37 +181,41 @@ def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
         else:
             F_val = math.nan
         _emit(trace, callbacks, TraceRecord(
-            k=k + 1, F_value=F_val, H=H, r=r, beta_surrogate=beta_hat,
-            certificate_gap=math.nan, cum_oracle_calls=oracle.calls,
-            wall_time_s=time.monotonic() - t0,
-        ))
+            k + 1, F_val, H, r, beta_hat, math.nan, oracle.calls,
+            time.monotonic() - t0))
         x, g = x_next, g_next
     xbar = xbar_sum / max(max_iters, 1) if max_iters > 0 else x
     return xbar, trace
 
 
-def _usfgm_evaluators(obj, oracle, deterministic):
+def _usfgm_evaluators(obj, oracle, deterministic, shape):
     """(mat, at_y, at_next) for run_usfgm.
 
     at_y and at_next map a point z to (f value or nan, w).  With mat set,
     z = mat @ x and the gradient is mat.T @ w; with mat None, z = x and w
-    is the gradient.  Only the built-in exact oracle is bypassed; any other
-    oracle is drawn at every point, as wrappers around it expect.
+    is the gradient, checked by _gradient.  Only the built-in exact oracle
+    is bypassed; any other oracle is drawn at every point, as wrappers
+    around it expect.
     """
     if type(oracle) is Oracle and oracle.cfg.kind == "exact":
         if obj.A is not None:
             return obj.A, obj.loss, obj.loss
-        return None, obj.f_eval, obj.f_eval
+        f_eval = obj.f_eval
+
+        def at_point(z):
+            f, g = f_eval(z)
+            return f, _gradient(g, shape)
+        return None, at_point, at_point
     if deterministic:
         def at_y(z):
-            return obj.value(z), oracle.draw(z).g
+            return obj.value(z), _gradient(oracle.draw(z).g, shape)
 
         def at_next(z):
             return obj.value(z), None
         return None, at_y, at_next
 
     def at_point(z):
-        return math.nan, oracle.draw(z).g
+        return math.nan, _gradient(oracle.draw(z).g, shape)
     return None, at_point, at_point
 
 
@@ -208,11 +247,12 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
     if deterministic and not oracle.is_exact:
         raise ValueError("deterministic_bregman mode requires an exact oracle")
     domain, metric = obj.domain, obj.metric
-    if D is None:
-        D = domain.diameter_D
-    x = np.array(domain.center if x0 is None else x0, dtype=np.float64)
+    D = _diameter(obj, D)
+    omega = D * D
+    x = _start_point(obj, x0)
+    b = metric.b_diag
     v = x
-    mat, at_y, at_next = _usfgm_evaluators(obj, oracle, deterministic)
+    mat, at_y, at_next = _usfgm_evaluators(obj, oracle, deterministic, x.shape)
     if mat is None:
         zx = zv = x
     else:
@@ -228,7 +268,7 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
         zy = (A_k * zx + a * zv) / A_next
         f_y, w_y = at_y(zy)
         g_y = w_y if mat is None else mat_T @ w_y
-        v_next = prox_step(a * g_y, v, H, domain, metric)
+        v_next = _prox_step(a * g_y, v, H, domain, metric)
         if mat is None:
             zv_next = v_next
             x_next = zx_next = (A_k * zx + a * v_next) / A_next
@@ -236,22 +276,20 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
             zv_next = mat @ v_next
             zx_next = (A_k * zx + a * zv_next) / A_next
             x_next = (A_k * x + a * v_next) / A_next
-        r = norm(metric, v_next - v)
+        r = _norm(b, v_next - v)
         f_next, w_next = at_next(zx_next)
         if deterministic:
-            beta_hat = f_next - f_y - pairing(w_y, zx_next - zy)
+            beta_hat = f_next - f_y - _pairing(w_y, zx_next - zy)
         else:
-            beta_hat = pairing(w_next - w_y, zx_next - zy)
-        H = balance_update(H, A_next * beta_hat, 0.5 * r * r, D * D)
+            beta_hat = _pairing(w_next - w_y, zx_next - zy)
+        H = balance_update(H, A_next * beta_hat, 0.5 * r * r, omega)
         if (k + 1) % trace_every == 0 or k + 1 == max_iters:
             F_val = obj.value(x_next) if math.isnan(f_next) else f_next
         else:
             F_val = math.nan
         _emit(trace, callbacks, TraceRecord(
-            k=k + 1, F_value=F_val, H=H, r=r, beta_surrogate=beta_hat,
-            certificate_gap=math.nan, cum_oracle_calls=2 * (k + 1),
-            wall_time_s=time.monotonic() - t0,
-        ))
+            k + 1, F_val, H, r, beta_hat, math.nan, 2 * (k + 1),
+            time.monotonic() - t0))
         x, v, zx, zv, A_k = x_next, v_next, zx_next, zv_next, A_next
     return x, trace
 
@@ -270,26 +308,25 @@ def run_projected_subgrad(obj, oracle=None, step_rule=("decaying", 1.0),
     if c < 0:
         raise ValueError("step size must be nonnegative")
     oracle = _as_oracle(obj, oracle)
-    domain, metric = obj.domain, obj.metric
-    x = np.array(domain.center if x0 is None else x0, dtype=np.float64)
+    domain, metric, draw = obj.domain, obj.metric, oracle.draw
+    x = _start_point(obj, x0)
+    b, shape = metric.b_diag, x.shape
     xbar_sum = np.zeros_like(x)
     trace = []
     t0 = time.monotonic()
     for k in range(max_iters):
-        g = oracle.draw(x).g
+        g = _gradient(draw(x).g, shape)
         step = c if kind == "constant" else c / math.sqrt(k + 1)
-        x_next = project_ball(x - step * g / metric.b_diag, domain, metric)
-        r = norm(metric, x_next - x)
+        x_next = _project_ball(x - step * g / b, domain, metric)
+        r = _norm(b, x_next - x)
         xbar_sum += x_next
         if (k + 1) % trace_every == 0 or k + 1 == max_iters:
             F_val = obj.value(xbar_sum / (k + 1))
         else:
             F_val = math.nan
         _emit(trace, callbacks, TraceRecord(
-            k=k + 1, F_value=F_val, H=1.0 / step if step > 0 else math.inf,
-            r=r, beta_surrogate=math.nan, certificate_gap=math.nan,
-            cum_oracle_calls=oracle.calls, wall_time_s=time.monotonic() - t0,
-        ))
+            k + 1, F_val, 1.0 / step if step > 0 else math.inf, r, math.nan,
+            math.nan, oracle.calls, time.monotonic() - t0))
         x = x_next
     xbar = xbar_sum / max(max_iters, 1) if max_iters > 0 else x
     return xbar, trace
@@ -305,39 +342,35 @@ def run_adagrad_norm(obj, oracle=None, D=None, gamma_variant="grad_diff",
     """
     if gamma_variant not in ("grad_diff", "grad_norm"):
         raise ValueError(f"unknown gamma variant {gamma_variant!r}")
-    if D is None:
-        D = obj.domain.diameter_D
-    if D <= 0:
-        raise ValueError("D must be positive")
+    D = _diameter(obj, D)
     oracle = _as_oracle(obj, oracle)
-    domain, metric = obj.domain, obj.metric
-    x = np.array(domain.center if x0 is None else x0, dtype=np.float64)
-    g = oracle.draw(x).g
+    domain, metric, draw = obj.domain, obj.metric, oracle.draw
+    x = _start_point(obj, x0)
+    b, shape = metric.b_diag, x.shape
+    g = _gradient(draw(x).g, shape)
     H = 0.0
     gamma_sq_sum = 0.0
     xbar_sum = np.zeros_like(x)
     trace = []
     t0 = time.monotonic()
     for k in range(max_iters):
-        x_next = prox_step(g, x, H, domain, metric)
-        g_next = oracle.draw(x_next).g
+        x_next = _prox_step(g, x, H, domain, metric)
+        g_next = _gradient(draw(x_next).g, shape)
         if gamma_variant == "grad_diff":
-            gamma = dual_norm(metric, g_next - g)
+            gamma = _dual_norm(b, g_next - g)
         else:
-            gamma = dual_norm(metric, g_next)
+            gamma = _dual_norm(b, g_next)
         gamma_sq_sum += gamma * gamma
         H = math.sqrt(gamma_sq_sum) / D
-        r = norm(metric, x_next - x)
+        r = _norm(b, x_next - x)
         xbar_sum += x_next
         if (k + 1) % trace_every == 0 or k + 1 == max_iters:
             F_val = obj.value(xbar_sum / (k + 1))
         else:
             F_val = math.nan
         _emit(trace, callbacks, TraceRecord(
-            k=k + 1, F_value=F_val, H=H, r=r, beta_surrogate=math.nan,
-            certificate_gap=math.nan, cum_oracle_calls=oracle.calls,
-            wall_time_s=time.monotonic() - t0,
-        ))
+            k + 1, F_val, H, r, math.nan, math.nan, oracle.calls,
+            time.monotonic() - t0))
         x, g = x_next, g_next
     xbar = xbar_sum / max(max_iters, 1) if max_iters > 0 else x
     return xbar, trace

@@ -94,6 +94,17 @@ class TestBadInputs:
         rc = main(["run", *SMALL, "--D", "-1", "--out", str(tmp_path)])
         assert rc == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--D", "nan"), ("--D", "1e-300"), ("--D", "inf"), ("--D", "1e200"),
+        ("--radius", "nan"), ("--radius", "inf"),
+    ])
+    def test_bad_diameter_rejected_before_output(self, tmp_path, flag, value):
+        # D*D must be positive and finite; the run stops before writing
+        out = tmp_path / "out"
+        rc = main(["run", *SMALL, flag, value, "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path):
         rc = main(["run", "--data", str(tmp_path / "absent.libsvm"),
                    "--out", str(tmp_path)])

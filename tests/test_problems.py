@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import finite_diff_grad, power_iteration_spectral_norm
+from helpers import CountingMatrix, finite_diff_grad, power_iteration_spectral_norm
 from ugbench.metric import MetricSpace, dual_norm, norm, pairing
 from ugbench.problems import (
     BallDomain,
@@ -249,6 +249,24 @@ def test_loss_of_A_x_gives_f_eval(make_obj):
         value, w = obj.loss(obj.A @ x)
         assert value == f
         np.testing.assert_allclose(obj.A.T @ w, g, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("build", [
+    lambda A, b: least_squares_f(A, b),
+    lambda A, b: logistic_f(A, np.where(b >= 0.5, 1.0, -1.0)),
+    lambda A, b: p_power_f(A, b, 1.5),
+], ids=["least-squares", "logistic", "p-power"])
+def test_value_is_one_product_with_f_eval_bits(build):
+    # value(x) skips the gradient's A.T @ w, so monitoring F costs one product
+    rng = np.random.Generator(np.random.Philox(17))
+    A = CountingMatrix(rng.random((8, 4)))
+    obj = build(A, rng.random(8))
+    for _ in range(20):
+        x = sample_in_ball(obj.domain, obj.metric, rng)
+        start = A.count
+        value = obj.value(x)
+        assert A.count - start == 1
+        assert float(value).hex() == float(obj.f_eval(x)[0]).hex()
 
 
 @pytest.mark.parametrize("make_obj", MAKE_OBJS)

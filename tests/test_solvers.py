@@ -407,6 +407,16 @@ class TestAdagradNorm:
             run_adagrad_norm(ls_instance, gamma_variant="classic", max_iters=2)
 
 
+@pytest.mark.parametrize("run", [
+    run_ugm, run_usgm, run_usfgm, run_adagrad_norm,
+], ids=["ugm", "usgm", "usfgm", "adagrad"])
+@pytest.mark.parametrize("D", [math.nan, 1e-300, math.inf, 1e200, -1.0, 0.0])
+def test_bad_diameter_rejected_at_entry(ls_instance, run, D):
+    # rejected before the first iteration: max_iters=0 runs no step at all
+    with pytest.raises(ValueError, match="D must be"):
+        run(ls_instance, D=D, max_iters=0)
+
+
 def test_metric_rescaling_yields_identical_iterates(ls_instance):
     # the same Euclidean ball expressed in B = I and B = 4I must produce
     # the same 50-step UGM iterate sequence once the radius is remapped
