@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import DimensionMismatchError, _dual_norm, _pairing
+from .metric import DimensionMismatchError, _pairing, _scaled_dual_norm
 
 
 @dataclass
@@ -74,8 +74,6 @@ def certificate_gap(acc, domain, metric):
 def _phi_star(acc, domain, metric):
     c_bar = acc.sum_g / acc.k
     kappa = acc.sum_affine_const / acc.k
-    return (
-        kappa
-        + _pairing(c_bar, domain.center)
-        - domain.radius * _dual_norm(metric.b_diag, c_bar)
-    )
+    # an underflowed ||c_bar||_* would put phi_star above F*
+    k, n = _scaled_dual_norm(metric.b_diag, c_bar)
+    return kappa + _pairing(c_bar, domain.center) - domain.radius * (k * n)

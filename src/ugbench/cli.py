@@ -194,8 +194,8 @@ def _solver_tag(spec):
 
 
 def cmd_run(cfg):
-    os.makedirs(cfg.out, exist_ok=True)
     obj = make_problem(cfg, load_dataset(cfg))
+    os.makedirs(cfg.out, exist_ok=True)
 
     def one(seed):
         _, trace = run_solver(cfg, obj, seed)
@@ -249,8 +249,8 @@ def cmd_sweep(cfg, steps=DEFAULT_STEP_GRID, diameters=DEFAULT_DIAMETER_GRID,
               solvers_list=None):
     if not steps or not diameters:
         raise ConfigError("sweep grid must be nonempty")
-    os.makedirs(cfg.out, exist_ok=True)
     obj = make_problem(cfg, load_dataset(cfg))
+    os.makedirs(cfg.out, exist_ok=True)
     solver_specs = solvers_list or [cfg.solver]
     rows = []
     for spec in solver_specs:
@@ -319,8 +319,8 @@ class _RecordingOracle:
 def cmd_compare(cfg, solver_specs):
     if len(solver_specs) < 2:
         raise ConfigError("compare needs at least two solvers")
-    os.makedirs(cfg.out, exist_ok=True)
     obj = make_problem(cfg, load_dataset(cfg))
+    os.makedirs(cfg.out, exist_ok=True)
     columns = {}
     domination = None
     want_domination = ("usgm" in solver_specs
@@ -386,6 +386,14 @@ def _build_config(args):
             values[key] = cast(values[key])
     if "normalize" in values and isinstance(values["normalize"], str):
         values["normalize"] = values["normalize"].lower() in ("1", "true", "yes")
+    if isinstance(values.get("b_diag"), str):
+        # positivity and length are checked by MetricSpace in make_problem
+        try:
+            values["b_diag"] = tuple(float(s) for s in values["b_diag"].split(","))
+        except ValueError:
+            raise ConfigError(
+                f"b_diag must be comma-separated numbers, got {values['b_diag']!r}"
+            ) from None
     allowed = set(RunConfig.__dataclass_fields__)
     unknown = set(values) - allowed
     if unknown:

@@ -82,5 +82,23 @@ def _dual_norm(b, s):
     return math.sqrt((s / b).dot(s))
 
 
+# below this the sum of squares in _dual_norm has left the normal range
+_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
+
+
+def _scaled_dual_norm(b, s):
+    """(k, n) with ||s||_* = k * n, where n = ||s / k||_*.
+
+    k is 1 and n is _dual_norm(b, s), unless the sum of squares may have
+    underflowed; then k = max|s_i|, and n is computed on s / k.
+    """
+    n = _dual_norm(b, s)
+    if n < _SQRT_TINY:
+        k = np.abs(s).max()
+        if k > 0.0:
+            return k, _dual_norm(b, s / k)
+    return 1.0, n
+
+
 def _pairing(s, x):
     return float(s.dot(x))

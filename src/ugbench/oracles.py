@@ -84,12 +84,13 @@ def _minibatch_sampler(obj, cfg, rng):
             f"batch_size {cfg.batch_size} exceeds {obj.n_rows} dataset rows"
         )
     n_rows, batch_size = obj.n_rows, cfg.batch_size
+    # np.add.reduce(G, axis=0) / B is G.mean(axis=0) without its wrapper
     if cfg.full_batch:
         rows = np.arange(n_rows)
-        return lambda x: obj.row_grad(x, rows).mean(axis=0)
+        return lambda x: np.add.reduce(obj.row_grad(x, rows), axis=0) / n_rows
     integers = rng.integers
-    return lambda x: obj.row_grad(
-        x, integers(0, n_rows, size=batch_size)).mean(axis=0)
+    return lambda x: np.add.reduce(obj.row_grad(
+        x, integers(0, n_rows, size=batch_size)), axis=0) / batch_size
 
 
 class Oracle:
@@ -102,9 +103,10 @@ class Oracle:
     def __init__(self, obj, cfg=None):
         self.obj = obj
         self.cfg = cfg if cfg is not None else OracleConfig()
-        self.rng = make_rng(self.cfg.seed)
-        self.calls = 0
         kind = self.cfg.kind
+        # the exact oracle never draws, so it seeds no generator
+        self.rng = None if kind == "exact" else make_rng(self.cfg.seed)
+        self.calls = 0
         if kind == "exact":
             self._sample = _exact_sampler(obj)
         elif kind == "gaussian":

@@ -16,12 +16,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .metric import (DimensionMismatchError, MetricSpace, _dual_norm, _norm,
-                     dual_norm, norm)
+from .metric import (DimensionMismatchError, MetricSpace, _norm,
+                     _scaled_dual_norm, dual_norm, norm)
 
 # relative slack when checking that a prox anchor is feasible; absorbs
 # round-off from earlier projections
 ANCHOR_FEAS_TOL = 1e-9
+# per-entry rounding allowance, in units of the larger absolute coordinate
+_ROUNDING = 4.0 * np.finfo(np.float64).eps
 
 
 class InfeasibleAnchorError(ValueError):
@@ -100,6 +102,9 @@ def _project_ball(x, domain, metric):
     r = _norm(metric.b_diag, d)
     if r <= domain.radius:
         return x
+    if not r < math.inf:  # also nan; scaling by radius / r would give nan
+        raise ValueError(
+            f"cannot project a point at non-finite distance {r} from the centre")
     return domain.center + (domain.radius / r) * d
 
 
@@ -118,18 +123,26 @@ def _prox_step(c, anchor, H, domain, metric):
     if not H >= 0:  # also rejects nan, which would select the H = 0 branch
         raise ValueError(f"H must be nonnegative, got {H}")
     b = metric.b_diag
-    dist = _norm(b, anchor - domain.center)
-    if not dist <= domain.radius * (1.0 + ANCHOR_FEAS_TOL):
+    center = domain.center
+    dist = _norm(b, anchor - center)
+    limit = domain.radius * (1.0 + ANCHOR_FEAS_TOL)
+    # a point stored in absolute coordinates carries a rounding error of up
+    # to an ulp of max(|center_i|, |x_i|) per entry, which off the origin can
+    # exceed the relative slack on a small radius; computed only on failure
+    if not dist <= limit and not dist <= limit + _ROUNDING * _norm(
+            b, np.maximum(np.abs(center), np.abs(anchor))):
         raise InfeasibleAnchorError(
             "prox anchor lies outside the domain "
             f"(||anchor - center|| = {dist!r}, radius = {domain.radius!r})"
         )
     if H > 0:
         return _project_ball(anchor - c / (H * b), domain, metric)
-    dn = _dual_norm(b, c)
+    # the vertex depends only on the direction of c, so it is computed from
+    # c / k, whose dual norm does not underflow
+    k, dn = _scaled_dual_norm(b, c)
     if dn == 0.0:
         return anchor
-    return domain.center - (domain.radius / dn) * (c / b)
+    return center - (domain.radius / dn) * ((c / k) / b)
 
 
 _FLOAT64 = np.dtype(np.float64)
@@ -175,17 +188,13 @@ def logistic_f(features, labels, domain=None, metric=None, label="logistic"):
     m, n = A.shape
 
     def _sigmoid(z):
-        # stable for |z| up to ~700
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # exp(-|z|) <= 1 cannot overflow; each branch takes its side's exp
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def loss(z):
         margins = b * z
-        value = float(np.sum(np.logaddexp(0.0, -margins)))
+        value = float(np.add.reduce(np.logaddexp(0.0, -margins)))
         return value, -b * _sigmoid(-margins)
 
     def row_grad(x, idx):
@@ -209,26 +218,26 @@ def p_power_f(A, b, p, domain=None, metric=None, label=None):
     A, b = _check_data(A, b)
     m, n = A.shape
 
-    def _row_weights(r):
-        w = np.zeros_like(r)
-        nz = r != 0.0
-        w[nz] = p * np.sign(r[nz]) * np.abs(r[nz]) ** (p - 1.0)
-        return w
+    def _row_weights(r, a):
+        # a = |r|; sign(0) = 0 gives kinks the zero subgradient, also at p = 1
+        return p * np.sign(r) * a ** (p - 1.0)
 
     def f_eval(x):
         # divides by m after the product; A.T @ loss(A @ x)[1] divides before
         r = A @ x - b
-        value = float(np.sum(np.abs(r) ** p)) / m
-        return value, A.T @ _row_weights(r) / m
+        a = np.abs(r)
+        value = float(np.add.reduce(a ** p)) / m
+        return value, A.T @ _row_weights(r, a) / m
 
     def loss(z):
         r = z - b
-        return float(np.sum(np.abs(r) ** p)) / m, _row_weights(r) / m
+        a = np.abs(r)
+        return float(np.add.reduce(a ** p)) / m, _row_weights(r, a) / m
 
     def row_grad(x, idx):
         rows = A[idx]
         r = rows @ x - b[idx]
-        return _row_weights(r)[:, None] * rows
+        return _row_weights(r, np.abs(r))[:, None] * rows
 
     if label is None:
         label = f"p-power(p={p})"

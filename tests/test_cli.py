@@ -9,8 +9,13 @@ from ugbench.cli import (
     EXIT_BAD_CONFIG,
     EXIT_DATA_ERROR,
     TRACE_HEADER,
+    RunConfig,
+    load_dataset,
     main,
+    make_problem,
     parse_config_file,
+    run_solver,
+    write_trace,
 )
 
 
@@ -152,6 +157,35 @@ class TestConfigFile:
         assert parse_config_file(str(cfgfile)) == {
             "solver": "usgm", "radius": "2.0",
         }
+
+    def test_b_diag_sets_the_metric(self, tmp_path):
+        base = "solver = ugm\ndata = synthetic:10:3:0\nmax_iters = 30\n"
+        traces = {}
+        for name, line in (("weighted", "b_diag = 1, 2,3\n"), ("euclid", "")):
+            cfgfile = tmp_path / f"{name}.cfg"
+            cfgfile.write_text(base + line)
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 0
+            traces[name] = [r[:7] for r in read_csv(out / "trace_ugm_0.csv")]
+        cfg = RunConfig(solver="ugm", data="synthetic:10:3:0", max_iters=30,
+                        b_diag=(1.0, 2.0, 3.0))
+        _, trace = run_solver(cfg, make_problem(cfg, load_dataset(cfg)), 0)
+        expected = tmp_path / "expected.csv"
+        write_trace(expected, trace)
+        assert traces["weighted"] == [r[:7] for r in read_csv(expected)]
+        assert traces["weighted"] != traces["euclid"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    @pytest.mark.parametrize("value", ["1,x,3", "1,0,3", "1,-2,3", "1,2",
+                                       "1,2,3,4", "1,nan,3", ""])
+    def test_bad_b_diag_rejected_before_output(self, tmp_path, command, value):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"data = synthetic:10:3:0\nb_diag = {value}\n")
+        out = tmp_path / "out"
+        extra = ["--solvers", "ugm,usgm"] if command == "compare" else []
+        rc = main([command, "--config", str(cfgfile), *extra, "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UGBENCH_SEED", "9")

@@ -1,11 +1,17 @@
-"""Property tests: each solver kernel gives the bits of its public helper.
+"""Property tests of the solver and loss kernels.
 
-The public helpers validate and then call the kernel, so the kernels are
-also checked against the numpy formulas they replaced (np.dot, np.sqrt),
-over random vectors, extreme metric diagonals and balls off the origin.
+Each solver kernel gives the bits of its public helper.  The public
+helpers validate and then call the kernel, so the kernels are also checked
+against the numpy formulas they replaced (np.dot, np.sqrt), over random
+vectors, extreme metric diagonals and balls off the origin.  The loss
+kernels and the minibatch mean are checked bitwise against the masked
+formulas and the .mean(axis=0) they replaced, kept here as references.
+The balance equation and the certificate bound phi* <= F(x) are checked
+as the paper states them.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,8 +24,29 @@ from ugbench.certificate import (
     certificate_gap,
     certificate_update,
 )
-from ugbench.metric import MetricSpace, _dual_norm, _norm, _pairing, dual_norm, norm, pairing
-from ugbench.problems import BallDomain, _project_ball, _prox_step, project_ball, prox_step
+from ugbench.metric import (
+    MetricSpace,
+    _dual_norm,
+    _norm,
+    _pairing,
+    _scaled_dual_norm,
+    dual_norm,
+    norm,
+    pairing,
+)
+from ugbench.oracles import Oracle, OracleConfig, make_rng
+from ugbench.problems import (
+    BallDomain,
+    _project_ball,
+    _prox_step,
+    least_squares_f,
+    logistic_f,
+    p_power_f,
+    project_ball,
+    prox_step,
+    sample_in_ball,
+)
+from ugbench.solvers import balance_update
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -77,6 +104,24 @@ def test_norm_kernels(sv):
 
 
 @SETTINGS
+@given(space_and_vectors(n_vectors=1), st.integers(-1100, 0))
+def test_scaled_dual_norm_survives_underflow(sv, k):
+    space, (s,) = sv
+    b = space.b_diag
+    s = np.ldexp(s, k)
+    k, n = _scaled_dual_norm(b, s)
+    dn = k * n
+    if _dual_norm(b, s) >= math.sqrt(np.finfo(float).tiny):
+        assert k == 1.0 and same_bits(n, _dual_norm(b, s))
+    # dn ** 2 against the exact sum of squares; a subnormal dn carries an
+    # absolute error of up to one subnormal step, delta
+    exact = sum(Fraction(x) ** 2 / Fraction(w) for x, w in zip(s, b))
+    delta = Fraction(np.finfo(float).smallest_subnormal)
+    tol = Fraction(1e-14) * exact + (2 * Fraction(dn) + delta) * delta
+    assert abs(Fraction(dn) ** 2 - exact) <= tol
+
+
+@SETTINGS
 @given(ball_problem())
 def test_prox_kernel(problem):
     space, domain, c, anchor, H = problem
@@ -109,3 +154,180 @@ def test_certificate_kernels(problem, steps):
     assert same_bits(bare.sum_g, validated.sum_g)
     assert bare.sum_affine_const == validated.sum_affine_const
     assert math.isfinite(gap)
+
+
+# References: the masked kernels and the mean that the mask-free ones replaced.
+
+def masked_p_power_weights(r, p):
+    w = np.zeros_like(r)
+    nz = r != 0.0
+    w[nz] = p * np.sign(r[nz]) * np.abs(r[nz]) ** (p - 1.0)
+    return w
+
+
+def masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+# exact kinks and signed zeros, subnormals, and |z| up to where exp(-|z|)
+# underflows to 0
+special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+                           744.0, -744.0, 745.0, -745.0, 746.0, -746.0])
+entry = st.one_of(special, st.floats(-750.0, 750.0))
+exponent = st.one_of(st.sampled_from([1.0, 1.5, 2.0]), st.floats(1.0, 2.0))
+
+
+@st.composite
+def loss_data(draw):
+    """(A, b, z, x, kinks): b_i = z_i on the kink rows and 0 elsewhere."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 4))
+    z = np.array(draw(st.lists(entry, min_size=m, max_size=m)))
+    kinks = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    A = np.array(draw(st.lists(st.lists(coord, min_size=n, max_size=n),
+                               min_size=m, max_size=m)))
+    x = np.array(draw(st.lists(st.one_of(special, coord), min_size=n, max_size=n)))
+    return A, np.where(kinks, z, 0.0), z, x, kinks
+
+
+@SETTINGS
+@given(loss_data(), exponent)
+def test_p_power_kernels_match_masked_weights(data, p):
+    A, b, z, x, kinks = data
+    m = len(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = z - b
+        value, w = p_power_f(A, b, p).loss(z)
+        assert same_bits(value, float(np.sum(np.abs(r) ** p)) / m)
+        assert same_bits(w, masked_p_power_weights(r, p) / m)
+        # f_eval and row_grad at x, with kinks where b_i = <a_i, x>
+        b = np.where(kinks, A @ x, b)
+        obj = p_power_f(A, b, p)
+        r = A @ x - b
+        value, g = obj.f_eval(x)
+        assert same_bits(value, float(np.sum(np.abs(r) ** p)) / m)
+        assert same_bits(g, A.T @ masked_p_power_weights(r, p) / m)
+        idx = np.arange(m)[::-1]
+        assert same_bits(obj.row_grad(x, idx),
+                         masked_p_power_weights(A[idx] @ x - b[idx], p)[:, None]
+                         * A[idx])
+
+
+@SETTINGS
+@given(loss_data(), st.lists(st.sampled_from([-1.0, 1.0]), min_size=8, max_size=8))
+def test_logistic_kernels_match_masked_sigmoid(data, signs):
+    A, _, z, x, _ = data
+    m = len(z)
+    labels = np.array(signs[:m])
+    obj = logistic_f(A, labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = labels * z
+        value, w = obj.loss(z)
+        assert same_bits(value, float(np.sum(np.logaddexp(0.0, -margins))))
+        assert same_bits(w, -labels * masked_sigmoid(-margins))
+        idx = np.arange(m)[::-1]
+        margins = labels[idx] * (A[idx] @ x)
+        assert same_bits(obj.row_grad(x, idx),
+                         m * (-labels[idx] * masked_sigmoid(-margins))[:, None]
+                         * A[idx])
+
+
+@SETTINGS
+@given(loss_data(), st.integers(1, 8), st.integers(0, 2**32), st.booleans())
+def test_minibatch_mean_matches_mean(data, batch_size, seed, full_batch):
+    A, b, _, x, _ = data
+    m = len(b)
+    obj = least_squares_f(A, b)
+    cfg = OracleConfig(kind="minibatch", batch_size=min(batch_size, m),
+                       seed=seed, full_batch=full_batch)
+    oracle = Oracle(obj, cfg)
+    rng = make_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            rows = (np.arange(m) if full_batch
+                    else rng.integers(0, m, size=cfg.batch_size))
+            assert same_bits(oracle.draw(x).g,
+                             obj.row_grad(x, rows).mean(axis=0))
+
+
+def test_exact_oracle_holds_no_generator():
+    obj = least_squares_f(np.eye(2), np.ones(2))
+    assert Oracle(obj).rng is None
+    assert Oracle(obj, OracleConfig(kind="gaussian", sigma=1.0)).rng is not None
+
+
+nonneg = st.floats(0.0, 1e8)
+
+
+@SETTINGS
+@given(nonneg, st.floats(-1e8, 1e8), nonneg, st.floats(1e-8, 1e8))
+def test_balance_equation_identity(H, beta, rho, omega):
+    H_next = balance_update(H, beta, rho, omega)
+    assert H_next >= H
+    lhs = (H_next - H) * omega
+    rhs = max(beta - H_next * rho, 0.0)
+    # both sides are a few roundings away from exact; below the normal
+    # range H_next carries an absolute error of up to one subnormal step
+    scale = H_next * (omega + rho) + abs(beta)
+    tiny = np.finfo(float).smallest_subnormal * (1.0 + omega)
+    assert abs(lhs - rhs) <= 8 * np.finfo(float).eps * scale + tiny
+
+
+@st.composite
+def convex_objective(draw):
+    """A built-in convex objective over a ball with an extreme metric."""
+    space, (center,) = draw(space_and_vectors(n_vectors=1))
+    dim = space.dim
+    domain = BallDomain(center, draw(st.floats(1e-3, 1e3)))
+    m = draw(st.integers(1, 6))
+    A = np.array(draw(st.lists(st.lists(st.floats(-10, 10), min_size=dim,
+                                        max_size=dim), min_size=m, max_size=m)))
+    b = np.array(draw(st.lists(st.floats(-10, 10), min_size=m, max_size=m)))
+    kind = draw(st.sampled_from(["ls", "logistic", "ppower"]))
+    if kind == "ls":
+        return least_squares_f(A, b, domain, space)
+    if kind == "logistic":
+        return logistic_f(A, np.where(b >= 0, 1.0, -1.0), domain, space)
+    return p_power_f(A, b, draw(exponent), domain, space)
+
+
+@SETTINGS
+@given(convex_objective(), st.integers(1, 6), st.integers(0, 2**32))
+def test_certificate_lower_bounds_F(obj, n_points, seed):
+    rng = np.random.default_rng(seed)
+    acc = CertificateAccumulator()
+    # magnitude of the terms phi* sums before they cancel; each is exact up
+    # to a few roundings
+    scale = 0.0
+    for x_i in sample_in_ball(obj.domain, obj.metric, rng, size=n_points):
+        f_i, g_i = obj.f_eval(x_i)
+        certificate_update(acc, x_i, g_i, f_i, f_i)
+        scale += (abs(f_i) + abs(pairing(g_i, x_i))) / n_points
+    phi_star, _ = certificate_gap(acc, obj.domain, obj.metric)
+    c_bar = acc.sum_g / acc.k
+    scale += (abs(pairing(c_bar, obj.domain.center))
+              + obj.domain.radius * dual_norm(obj.metric, c_bar))
+    # below the normal range roundings are absolute, up to the smallest normal
+    tiny = np.finfo(float).tiny
+    for x in sample_in_ball(obj.domain, obj.metric, rng, size=5):
+        F = obj.value(x)
+        assert phi_star <= F + 1e-12 * (scale + abs(F)) + tiny
+
+
+def test_certificate_sound_for_tiny_gradients():
+    # g * g underflows to 0: the dual norm of the model's slope read 0, and
+    # phi* = kappa exceeded F at every point (F* = 0 at x = 1)
+    a = 4.67621884e-88
+    obj = least_squares_f(np.array([[a]]), np.array([a]))
+    acc = CertificateAccumulator()
+    x = np.array([0.25])
+    f, g = obj.f_eval(x)
+    certificate_update(acc, x, g, f, f)
+    phi_star, _ = certificate_gap(acc, obj.domain, obj.metric)
+    assert phi_star <= obj.value(np.ones(1)) == 0.0
+    assert same_bits(phi_star, f - g[0] * x[0] - abs(g[0]))

@@ -42,16 +42,45 @@ class TestProxStep:
         x = prox_step([0.0, 3.0], np.zeros(2), 0.0, domain, metric)
         np.testing.assert_allclose(x, [0.0, -1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("tiny", [1e-158, 1e-170, 5e-324])
+    def test_h_zero_vertex_for_tiny_gradient(self, unit_ball_2d, tiny):
+        # ||c||_* used to underflow: a vertex outside the ball, or the anchor
+        domain, metric = unit_ball_2d
+        x = prox_step([tiny, 0.0], [0.5, 0.0], 0.0, domain, metric)
+        np.testing.assert_array_equal(x, [-1.0, 0.0])
+
     def test_infeasible_anchor_rejected(self, unit_ball_2d):
         domain, metric = unit_ball_2d
         with pytest.raises(InfeasibleAnchorError):
             prox_step([1.0, 0.0], [2.0, 0.0], 1.0, domain, metric)
+
+    def test_boundary_anchor_off_origin_accepted(self):
+        # a boundary point stored at 256 + 1.9e-5 is ~3e-9 (relative)
+        # outside by rounding alone, beyond ANCHOR_FEAS_TOL
+        metric = MetricSpace(1, np.array([2752.0]))
+        domain = BallDomain(np.array([256.0]), 1e-3)
+        step = domain.radius / norm(metric, np.ones(1))
+        anchor = domain.center + step
+        assert norm(metric, anchor - domain.center) > domain.radius * (1 + 1e-9)
+        np.testing.assert_array_equal(
+            prox_step(np.zeros(1), anchor, 0.0, domain, metric), anchor)
+        with pytest.raises(InfeasibleAnchorError):
+            prox_step(np.zeros(1), domain.center + step * (1 + 1e-6), 0.0,
+                      domain, metric)
 
     def test_nan_H_rejected(self, unit_ball_2d):
         # nan fails H > 0 too, and would silently select the LMO vertex
         domain, metric = unit_ball_2d
         with pytest.raises(ValueError):
             prox_step([1.0, 0.0], np.zeros(2), np.nan, domain, metric)
+
+    def test_overflowing_step_rejected(self, unit_ball_2d):
+        # c / (H * b) overflows for a tiny positive H; the projection of
+        # the infinite point used to come back as nan coordinates
+        domain, metric = unit_ball_2d
+        with pytest.raises(ValueError, match="non-finite"):
+            with np.errstate(over="ignore"):
+                prox_step([1.0, 0.0], [0.0, 0.0], 1e-320, domain, metric)
 
     def test_result_always_feasible(self):
         rng = np.random.Generator(np.random.Philox(5))
@@ -109,6 +138,13 @@ class TestProjectBall:
         np.testing.assert_allclose(
             project_ball([0.0, 2.0], domain, metric), [0.0, 1.0]
         )
+
+    @pytest.mark.parametrize("point", [[np.inf, 0.0], [np.nan, 0.0],
+                                       [-np.inf, np.inf]])
+    def test_non_finite_point_rejected(self, unit_ball_2d, point):
+        domain, metric = unit_ball_2d
+        with pytest.raises(ValueError, match="non-finite"):
+            project_ball(point, domain, metric)
 
     def test_idempotent(self, unit_ball_2d):
         domain, metric = unit_ball_2d

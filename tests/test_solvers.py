@@ -417,6 +417,25 @@ def test_bad_diameter_rejected_at_entry(ls_instance, run, D):
         run(ls_instance, D=D, max_iters=0)
 
 
+@pytest.mark.parametrize("run", [
+    run_ugm, run_usgm, run_usfgm, run_adagrad_norm,
+], ids=["ugm", "usgm", "usfgm", "adagrad"])
+def test_small_ball_far_off_origin(run):
+    # the solvers' own boundary points, stored in absolute coordinates, used
+    # to fail the next anchor check by ~1e-8 relative (InfeasibleAnchorError)
+    metric = MetricSpace(2, np.array([1e6, 3e5]))
+    domain = BallDomain(np.array([1e3, -7e2]), 1e-3)
+    rng = np.random.Generator(np.random.Philox(61))
+    for _ in range(10):
+        c = rng.standard_normal(2)
+        obj = CompositeObjective(
+            f_eval=lambda x, c=c: (float(c @ x), c.copy()),
+            domain=domain, metric=metric)
+        x, trace = run(obj, max_iters=30)
+        assert len(trace) == 30
+        assert norm(metric, x - domain.center) <= domain.radius * (1 + 1e-6)
+
+
 def test_metric_rescaling_yields_identical_iterates(ls_instance):
     # the same Euclidean ball expressed in B = I and B = 4I must produce
     # the same 50-step UGM iterate sequence once the radius is remapped
