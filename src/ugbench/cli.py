@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dataio, solvers
-from .metric import MetricSpace, dual_norm
+from .metric import MetricSpace
 from .oracles import Oracle, OracleConfig
 from .problems import BallDomain, least_squares_f, logistic_f, p_power_f
 
@@ -48,7 +48,6 @@ class RunConfig:
     out: str = "."
     seeds: tuple = (0,)
     jobs: int = 1
-    normalize: bool = False
     b_diag: tuple = None             # default identity metric
 
     def __post_init__(self):
@@ -126,8 +125,6 @@ def make_problem(cfg, dataset):
     metric = (MetricSpace(n, np.asarray(cfg.b_diag)) if cfg.b_diag
               else MetricSpace.euclidean(n))
     domain = BallDomain(np.zeros(n), cfg.radius)
-    if cfg.normalize:
-        dataset = dataio.normalize_columns(dataset)
     if cfg.problem == "ls":
         return least_squares_f(dataset.features, dataset.labels, domain, metric)
     if cfg.problem == "logistic":
@@ -288,32 +285,18 @@ def cmd_sweep(cfg, steps=DEFAULT_STEP_GRID, diameters=DEFAULT_DIAMETER_GRID,
     return 0
 
 
-class _RecordingOracle:
-    """Wraps an oracle to accumulate the AdaGrad-style coefficient H'_k."""
+def _recording(grads):
+    """An oracle hook that appends every drawn gradient to grads."""
+    def hook(oracle):
+        draw = oracle.draw
 
-    def __init__(self, inner, metric):
-        self.inner = inner
-        self.metric = metric
-        self.prev_g = None
-        self.gamma_sq_sum = 0.0
-        self.h_prime = []
-
-    @property
-    def calls(self):
-        return self.inner.calls
-
-    @property
-    def is_exact(self):
-        return self.inner.is_exact
-
-    def draw(self, x):
-        sample = self.inner.draw(x)
-        if self.prev_g is not None:
-            gamma = dual_norm(self.metric, sample.g - self.prev_g)
-            self.gamma_sq_sum += gamma * gamma
-            self.h_prime.append(math.sqrt(self.gamma_sq_sum))
-        self.prev_g = sample.g
-        return sample
+        def recording_draw(x):
+            sample = draw(x)
+            grads.append(sample.g)
+            return sample
+        oracle.draw = recording_draw
+        return oracle
+    return hook
 
 
 def cmd_compare(cfg, solver_specs):
@@ -329,21 +312,20 @@ def cmd_compare(cfg, solver_specs):
                                for s in solver_specs))
     for spec in solver_specs:
         per_seed = []
-        recorder = [None]
-
-        def hook(oracle, recorder=recorder):
-            rec = _RecordingOracle(oracle, obj.metric)
-            recorder[0] = rec
-            return rec
-
         for i, seed in enumerate(cfg.seeds):
-            use_hook = hook if (spec == "usgm" and want_domination and i == 0) else None
-            _, trace = run_solver(cfg, obj, seed, solver=spec, oracle_hook=use_hook)
+            record = spec == "usgm" and want_domination and i == 0
+            grads = []
+            _, trace = run_solver(cfg, obj, seed, solver=spec,
+                                  oracle_hook=_recording(grads) if record else None)
             per_seed.append([rec.F_value for rec in trace])
-            if use_hook is not None:
-                h_prime = np.asarray(recorder[0].h_prime[:len(trace)]) / cfg.D
-                h_k = np.asarray([rec.H for rec in trace])
-                domination = h_prime - h_k
+            if record:
+                # AdaGrad's coefficient on the gradients USGM drew
+                coefficient = solvers._adagrad_coefficient(
+                    obj.metric.b_diag, cfg.D, "grad_diff")
+                h_prime = [coefficient(g, g_next)
+                           for g, g_next in zip(grads, grads[1:])]
+                domination = (np.asarray(h_prime)
+                              - np.asarray([rec.H for rec in trace]))
         columns[spec] = np.nanmean(np.asarray(per_seed), axis=0)
     n_rows = min(len(c) for c in columns.values())
     path = os.path.join(cfg.out, "compare.csv")
@@ -364,28 +346,19 @@ def _build_config(args):
     values = {}
     if args.config:
         values.update(parse_config_file(args.config))
-    for key in ("problem", "data", "solver", "oracle", "out"):
+    # argparse has typed the numeric flags; config-file values are cast below
+    for key in ("problem", "data", "solver", "oracle", "out", "radius", "D",
+                "iters", "trace_every", "jobs"):
         v = getattr(args, key, None)
         if v is not None:
-            values[key] = v
-    for key, cast in (("radius", float), ("D", float), ("iters", int),
-                      ("trace_every", int), ("jobs", int)):
-        v = getattr(args, key, None)
-        if v is not None:
-            values["max_iters" if key == "iters" else key] = cast(v)
-    if args.seeds is not None:
-        values["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    elif "seeds" in values and isinstance(values["seeds"], str):
-        values["seeds"] = tuple(int(s) for s in values["seeds"].split(","))
-    elif "seeds" not in values:
-        master = os.environ.get("UGBENCH_SEED", "0")
-        values["seeds"] = (int(master),)
+            values["max_iters" if key == "iters" else key] = v
+    seeds = args.seeds if args.seeds is not None else values.get("seeds")
+    values["seeds"] = (tuple(int(s) for s in seeds.split(",")) if seeds is not None
+                       else (int(os.environ.get("UGBENCH_SEED", "0")),))
     for key, cast in (("radius", float), ("D", float), ("max_iters", int),
                       ("trace_every", int), ("jobs", int)):
         if key in values and isinstance(values[key], str):
             values[key] = cast(values[key])
-    if "normalize" in values and isinstance(values["normalize"], str):
-        values["normalize"] = values["normalize"].lower() in ("1", "true", "yes")
     if isinstance(values.get("b_diag"), str):
         # positivity and length are checked by MetricSpace in make_problem
         try:

@@ -23,7 +23,7 @@ from .metric import (DimensionMismatchError, MetricSpace, _norm,
 # round-off from earlier projections
 ANCHOR_FEAS_TOL = 1e-9
 # per-entry rounding allowance, in units of the larger absolute coordinate
-_ROUNDING = 4.0 * np.finfo(np.float64).eps
+_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
 
 
 class InfeasibleAnchorError(ValueError):
@@ -54,7 +54,18 @@ class BallDomain:
         return 2.0 * self.radius
 
     def contains(self, x, metric, rtol=ANCHOR_FEAS_TOL):
-        return norm(metric, x - self.center) <= self.radius * (1.0 + rtol)
+        """Whether ||x - center|| <= radius * (1 + rtol), up to rounding.
+
+        The feasibility rule of the prox anchor too.  A point stored in
+        absolute coordinates carries up to an ulp of max(|center_i|, |x_i|)
+        per entry, which off the origin can exceed the relative slack on a
+        small radius; that allowance is computed only when needed.
+        """
+        b, center = metric.b_diag, self.center
+        limit = self.radius * (1.0 + rtol)
+        dist = _norm(b, x - center)
+        return dist <= limit or dist <= limit + _ROUNDING * _norm(
+            b, np.maximum(np.abs(center), np.abs(x)))
 
 
 @dataclass
@@ -124,16 +135,10 @@ def _prox_step(c, anchor, H, domain, metric):
         raise ValueError(f"H must be nonnegative, got {H}")
     b = metric.b_diag
     center = domain.center
-    dist = _norm(b, anchor - center)
-    limit = domain.radius * (1.0 + ANCHOR_FEAS_TOL)
-    # a point stored in absolute coordinates carries a rounding error of up
-    # to an ulp of max(|center_i|, |x_i|) per entry, which off the origin can
-    # exceed the relative slack on a small radius; computed only on failure
-    if not dist <= limit and not dist <= limit + _ROUNDING * _norm(
-            b, np.maximum(np.abs(center), np.abs(anchor))):
+    if not domain.contains(anchor, metric):
         raise InfeasibleAnchorError(
-            "prox anchor lies outside the domain "
-            f"(||anchor - center|| = {dist!r}, radius = {domain.radius!r})"
+            "prox anchor lies outside the domain (||anchor - center|| = "
+            f"{_norm(b, anchor - center)!r}, radius = {domain.radius!r})"
         )
     if H > 0:
         return _project_ball(anchor - c / (H * b), domain, metric)

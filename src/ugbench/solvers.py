@@ -6,12 +6,13 @@ closed form, where beta is a (surrogate) Bregman-distance term, rho = r^2/2
 with r the step length, and Omega = D^2 with D the domain diameter.  The
 diameter is the only parameter any of these methods needs.
 
-Each solver validates its inputs once, at entry (_diameter, _start_point),
-and then iterates on the unchecked kernels of the metric, prox and
-certificate helpers.  Per iteration only what outside code returns is
-checked: each subgradient from f_eval or an oracle (_gradient), the prox
-anchor's feasibility (_prox_step) and, in balance_update, that beta and H
-are finite.
+One loop, _run, owns the iteration of every method: the counter, the
+clock, which iterations are monitored (trace_every), the records and the
+running average.  Each run_* validates its inputs once, at entry, and
+hands _run a step that iterates on the unchecked kernels.  Per iteration
+only what outside code returns is checked: each subgradient (_gradient),
+the prox anchor (_prox_step) and the finiteness of beta and H
+(balance_update).
 """
 
 import math
@@ -22,19 +23,20 @@ import numpy as np
 
 # The validating helpers (certificate_gap, certificate_update, norm,
 # dual_norm, pairing, prox_step, project_ball) stay importable from this
-# module, where perfbench's tracer wraps them; the loops call the kernels.
+# module, where perfbench's tracer wraps them (and balance_update, which
+# the steps look up here); the steps call the kernels.
 from .certificate import (  # noqa: F401
     CertificateAccumulator, _fold, _phi_star, certificate_gap,
     certificate_update)
 from .metric import (  # noqa: F401
-    _dual_norm, _norm, _pairing, dual_norm, norm, pairing)
+    _dual_norm, _norm, _pairing, _scaled_dual_norm, dual_norm, norm, pairing)
 from .oracles import Oracle, OracleConfig
 from .problems import (  # noqa: F401
     _gradient, _project_ball, _prox_step, project_ball, prox_step)
 
 
 class TraceRecord(NamedTuple):
-    """One iteration's record; the solvers build it positionally."""
+    """One iteration's record; _run builds it positionally."""
 
     k: int
     F_value: float
@@ -70,12 +72,6 @@ def reg_max_bound(M, nu, H):
     )
 
 
-def _emit(trace, callbacks, record):
-    trace.append(record)
-    for cb in callbacks:
-        cb(record)
-
-
 def _diameter(obj, D):
     """D, by default the domain's diameter; must satisfy 0 < D*D < inf."""
     if D is None:
@@ -103,6 +99,33 @@ def _as_oracle(obj, oracle):
     return oracle
 
 
+def _run(obj, step, x, max_iters, callbacks, trace_every, averaged):
+    """Iterate step(k, traced) -> (x_k, F, H, r, beta, gap, calls) and trace.
+
+    traced marks every trace_every-th and the last iteration, where F and
+    the gap are monitored (nan elsewhere).  F None asks for F at the average
+    of the x_k if averaged, else at x_k.  Returns (the average if averaged,
+    else the last x_k, or x if max_iters = 0; the trace).
+    """
+    trace = []
+    xbar_sum = np.zeros_like(x) if averaged else None
+    t0 = time.monotonic()
+    for k in range(1, max_iters + 1):
+        traced = k % trace_every == 0 or k == max_iters
+        x, F, H, r, beta, gap, calls = step(k, traced)
+        if averaged:
+            xbar_sum += x
+        if F is None:
+            F = obj.value(xbar_sum / k if averaged else x) if traced else math.nan
+        record = TraceRecord(k, F, H, r, beta, gap, calls, time.monotonic() - t0)
+        trace.append(record)
+        for cb in callbacks:
+            cb(record)
+    if averaged and max_iters > 0:
+        x = xbar_sum / max_iters
+    return x, trace
+
+
 def run_ugm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
             x0=None, trace_every=1):
     """Universal gradient method with exact subgradients.
@@ -119,13 +142,13 @@ def run_ugm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     x = _start_point(obj, x0)
     b, shape = metric.b_diag, x.shape
     H = 0.0
-    acc = CertificateAccumulator()
     f_x, g_x = f_eval(x)
     g_x = _gradient(g_x, shape)
-    best_F, best_x = f_x, x
-    trace = []
-    t0 = time.monotonic()
-    for k in range(max_iters):
+    # the best iterate lives in the certificate; ties keep the earlier one
+    acc = CertificateAccumulator(best_F=f_x, best_x=x)
+
+    def step(k, traced):
+        nonlocal x, f_x, g_x, H
         _fold(acc, x, g_x, f_x)
         x_next = _prox_step(g_x, x, H, domain, metric)
         d = x_next - x
@@ -134,16 +157,14 @@ def run_ugm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
         g_next = _gradient(g_next, shape)
         beta = f_next - f_x - _pairing(g_x, d)
         H = balance_update(H, beta, 0.5 * r * r, omega)
-        if f_next < best_F:
-            best_F, best_x = f_next, x_next
-        if (k + 1) % trace_every == 0 or k + 1 == max_iters:
-            gap = best_F - _phi_star(acc, domain, metric)
-        else:
-            gap = math.nan
-        _emit(trace, callbacks, TraceRecord(
-            k + 1, f_next, H, r, beta, gap, k + 1, time.monotonic() - t0))
+        if f_next < acc.best_F:
+            acc.best_F, acc.best_x = f_next, x_next
+        gap = acc.best_F - _phi_star(acc, domain, metric) if traced else math.nan
         x, f_x, g_x = x_next, f_next, g_next
-    return best_x, trace
+        return x, f_x, H, r, beta, gap, k
+
+    _, trace = _run(obj, step, x, max_iters, callbacks, trace_every, False)
+    return acc.best_x, trace
 
 
 def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
@@ -152,7 +173,8 @@ def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
 
     The step-size surrogate is the sampled symmetrized Bregman term
     <g_{k+1} - g_k, x_{k+1} - x_k>; g_{k+1} is drawn strictly after
-    x_{k+1} is fixed.
+    x_{k+1} is fixed.  report="last" traces F at the last iterate instead
+    of the average.
     """
     if report not in ("average", "last"):
         raise ValueError(f"unknown report mode {report!r}")
@@ -164,28 +186,21 @@ def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     b, shape = metric.b_diag, x.shape
     H = 0.0
     g = _gradient(draw(x).g, shape)
-    xbar_sum = np.zeros_like(x)
-    trace = []
-    t0 = time.monotonic()
-    for k in range(max_iters):
+    last = report == "last"
+
+    def step(k, traced):
+        nonlocal x, g, H
         x_next = _prox_step(g, x, H, domain, metric)
         g_next = _gradient(draw(x_next).g, shape)
         d = x_next - x
         r = _norm(b, d)
         beta_hat = _pairing(g_next - g, d)
         H = balance_update(H, beta_hat, 0.5 * r * r, omega)
-        xbar_sum += x_next
-        if (k + 1) % trace_every == 0 or k + 1 == max_iters:
-            point = xbar_sum / (k + 1) if report == "average" else x_next
-            F_val = obj.value(point)
-        else:
-            F_val = math.nan
-        _emit(trace, callbacks, TraceRecord(
-            k + 1, F_val, H, r, beta_hat, math.nan, oracle.calls,
-            time.monotonic() - t0))
         x, g = x_next, g_next
-    xbar = xbar_sum / max(max_iters, 1) if max_iters > 0 else x
-    return xbar, trace
+        F = (obj.value(x) if traced else math.nan) if last else None
+        return x, F, H, r, beta_hat, math.nan, oracle.calls
+
+    return _run(obj, step, x, max_iters, callbacks, trace_every, True)
 
 
 def _usfgm_evaluators(obj, oracle, deterministic, shape):
@@ -260,10 +275,10 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
         zx = zv = mat @ x
     H = 0.0
     A_k = 0.0
-    trace = []
-    t0 = time.monotonic()
-    for k in range(max_iters):
-        a = float(k + 1)
+
+    def step(k, traced):
+        nonlocal x, v, zx, zv, A_k, H
+        a = float(k)
         A_next = A_k + a
         zy = (A_k * zx + a * zv) / A_next
         f_y, w_y = at_y(zy)
@@ -283,15 +298,12 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
         else:
             beta_hat = _pairing(w_next - w_y, zx_next - zy)
         H = balance_update(H, A_next * beta_hat, 0.5 * r * r, omega)
-        if (k + 1) % trace_every == 0 or k + 1 == max_iters:
-            F_val = obj.value(x_next) if math.isnan(f_next) else f_next
-        else:
-            F_val = math.nan
-        _emit(trace, callbacks, TraceRecord(
-            k + 1, F_val, H, r, beta_hat, math.nan, 2 * (k + 1),
-            time.monotonic() - t0))
         x, v, zx, zv, A_k = x_next, v_next, zx_next, zv_next, A_next
-    return x, trace
+        # a noisy oracle gives no f value: _run evaluates F(x)
+        F = (None if math.isnan(f_next) else f_next) if traced else math.nan
+        return x, F, H, r, beta_hat, math.nan, 2 * k
+
+    return _run(obj, step, x, max_iters, callbacks, trace_every, False)
 
 
 def run_projected_subgrad(obj, oracle=None, step_rule=("decaying", 1.0),
@@ -311,25 +323,46 @@ def run_projected_subgrad(obj, oracle=None, step_rule=("decaying", 1.0),
     domain, metric, draw = obj.domain, obj.metric, oracle.draw
     x = _start_point(obj, x0)
     b, shape = metric.b_diag, x.shape
-    xbar_sum = np.zeros_like(x)
-    trace = []
-    t0 = time.monotonic()
-    for k in range(max_iters):
+
+    def step(k, traced):
+        nonlocal x
         g = _gradient(draw(x).g, shape)
-        step = c if kind == "constant" else c / math.sqrt(k + 1)
-        x_next = _project_ball(x - step * g / b, domain, metric)
+        eta = c if kind == "constant" else c / math.sqrt(k)
+        x_next = _project_ball(x - eta * g / b, domain, metric)
         r = _norm(b, x_next - x)
-        xbar_sum += x_next
-        if (k + 1) % trace_every == 0 or k + 1 == max_iters:
-            F_val = obj.value(xbar_sum / (k + 1))
-        else:
-            F_val = math.nan
-        _emit(trace, callbacks, TraceRecord(
-            k + 1, F_val, 1.0 / step if step > 0 else math.inf, r, math.nan,
-            math.nan, oracle.calls, time.monotonic() - t0))
         x = x_next
-    xbar = xbar_sum / max(max_iters, 1) if max_iters > 0 else x
-    return xbar, trace
+        return (x, None, 1.0 / eta if eta > 0 else math.inf, r, math.nan,
+                math.nan, oracle.calls)
+
+    return _run(obj, step, x, max_iters, callbacks, trace_every, True)
+
+
+_TINY = float(np.finfo(np.float64).tiny)
+_SCALE = 2.0 ** 600  # brings a sum of squares below _TINY back into range
+
+
+def _adagrad_coefficient(b, D, gamma_variant):
+    """coefficient(g, g_next) -> AdaGrad's H'_k = sqrt(sum gamma_i^2) / D.
+
+    gamma is ||g_next - g||_* ("grad_diff") or ||g_next||_* ("grad_norm").
+    While the sum of squares is below the normal range, where it loses its
+    digits or is 0, H' comes from a second sum in units of 2^-1200.
+    """
+    diff = gamma_variant == "grad_diff"
+    sq_sum = scaled_sum = 0.0
+
+    def coefficient(g, g_next):
+        nonlocal sq_sum, scaled_sum
+        s = g_next - g if diff else g_next
+        gamma = _dual_norm(b, s)
+        sq_sum += gamma * gamma
+        if sq_sum >= _TINY:
+            return math.sqrt(sq_sum) / D
+        k, n = _scaled_dual_norm(b, s)
+        gamma = k * _SCALE * n
+        scaled_sum += gamma * gamma
+        return math.sqrt(scaled_sum) / _SCALE / D
+    return coefficient
 
 
 def run_adagrad_norm(obj, oracle=None, D=None, gamma_variant="grad_diff",
@@ -349,28 +382,15 @@ def run_adagrad_norm(obj, oracle=None, D=None, gamma_variant="grad_diff",
     b, shape = metric.b_diag, x.shape
     g = _gradient(draw(x).g, shape)
     H = 0.0
-    gamma_sq_sum = 0.0
-    xbar_sum = np.zeros_like(x)
-    trace = []
-    t0 = time.monotonic()
-    for k in range(max_iters):
+    coefficient = _adagrad_coefficient(b, D, gamma_variant)
+
+    def step(k, traced):
+        nonlocal x, g, H
         x_next = _prox_step(g, x, H, domain, metric)
         g_next = _gradient(draw(x_next).g, shape)
-        if gamma_variant == "grad_diff":
-            gamma = _dual_norm(b, g_next - g)
-        else:
-            gamma = _dual_norm(b, g_next)
-        gamma_sq_sum += gamma * gamma
-        H = math.sqrt(gamma_sq_sum) / D
+        H = coefficient(g, g_next)
         r = _norm(b, x_next - x)
-        xbar_sum += x_next
-        if (k + 1) % trace_every == 0 or k + 1 == max_iters:
-            F_val = obj.value(xbar_sum / (k + 1))
-        else:
-            F_val = math.nan
-        _emit(trace, callbacks, TraceRecord(
-            k + 1, F_val, H, r, math.nan, math.nan, oracle.calls,
-            time.monotonic() - t0))
         x, g = x_next, g_next
-    xbar = xbar_sum / max(max_iters, 1) if max_iters > 0 else x
-    return xbar, trace
+        return x, None, H, r, math.nan, math.nan, oracle.calls
+
+    return _run(obj, step, x, max_iters, callbacks, trace_every, True)

@@ -145,6 +145,15 @@ class TestConfigFile:
         rc = main(["run", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert rc == EXIT_BAD_CONFIG
 
+    def test_normalize_key_rejected(self, tmp_path):
+        # the key was never wired to a flag; it is no longer a config key
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("data = synthetic:10:4:0\nnormalize = true\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
+
     def test_malformed_line_rejected(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("solver ugm\n")

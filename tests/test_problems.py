@@ -126,6 +126,21 @@ class TestBallDomain:
         with pytest.raises(ValueError):
             BallDomain(np.array([0.0, bad]), 1.0)
 
+    @pytest.mark.parametrize("offset, inside", [
+        (1.0, True), (1.0 + 1e-9, True), (1.0 + 1e-6, False), (2.0, False)])
+    def test_contains_agrees_with_the_prox_anchor_check(self, offset, inside):
+        # a small ball far off the origin, where the rounding of a point
+        # stored in absolute coordinates exceeds the relative slack
+        domain = BallDomain(np.array([256.0]), 1e-3)
+        metric = MetricSpace(1, np.array([2752.0]))
+        x = np.array([256.0 + offset * 1e-3 / np.sqrt(2752.0)])
+        assert domain.contains(x, metric) is inside
+        if inside:
+            prox_step(np.zeros(1), x, 1.0, domain, metric)
+        else:
+            with pytest.raises(InfeasibleAnchorError):
+                prox_step(np.zeros(1), x, 1.0, domain, metric)
+
 
 class TestProjectBall:
     def test_inside_unchanged(self, unit_ball_2d):

@@ -1,10 +1,12 @@
 """The solvers against reference loops written with the public helpers.
 
-The solvers validate once at entry and then iterate on unchecked kernels;
-the reference loops below call the validating helpers (prox_step, norm,
-dual_norm, pairing, certificate_update/certificate_gap) on every step, as
-the solvers once did.  Their traces must agree bit for bit, and the checks
-that outside input can trip must still fire.
+The solvers validate once at entry and then hand one shared loop a step
+that iterates on unchecked kernels; the reference loops below are written
+out one per method and call the validating helpers (prox_step,
+project_ball, norm, dual_norm, pairing, certificate_update/certificate_gap)
+on every step, as the solvers once did.  All five step rules are covered.
+Their traces must agree bit for bit, and the checks that outside input can
+trip must still fire.
 """
 
 import math
@@ -22,6 +24,7 @@ from ugbench.problems import (
     least_squares_f,
     logistic_f,
     p_power_f,
+    project_ball,
     prox_step,
 )
 from ugbench.solvers import (
@@ -109,6 +112,50 @@ def ref_adagrad(obj, oracle, D, x0, max_iters):
     return xbar_sum / max_iters, rows
 
 
+def ref_usfgm(obj, D, x0, max_iters, deterministic):
+    # an objective without A: y and x_next are combinations of the points
+    domain, metric = obj.domain, obj.metric
+    x = np.array(x0, dtype=np.float64)
+    v = x
+    H, A_k = 0.0, 0.0
+    rows = []
+    for k in range(1, max_iters + 1):
+        a = float(k)
+        A_next = A_k + a
+        y = (A_k * x + a * v) / A_next
+        f_y, g_y = obj.f_eval(y)
+        v_next = prox_step(a * g_y, v, H, domain, metric)
+        x_next = (A_k * x + a * v_next) / A_next
+        r = norm(metric, v_next - v)
+        f_next, g_next = obj.f_eval(x_next)
+        if deterministic:
+            beta = f_next - f_y - pairing(g_y, x_next - y)
+        else:
+            beta = pairing(g_next - g_y, x_next - y)
+        H = balance_update(H, A_next * beta, 0.5 * r * r, D * D)
+        F = f_next if _traced(k, max_iters) else math.nan
+        rows.append((k, F, H, r, beta, math.nan, 2 * k))
+        x, v, A_k = x_next, v_next, A_next
+    return x, rows
+
+
+def ref_sgd(obj, oracle, rule, c, x0, max_iters):
+    domain, metric = obj.domain, obj.metric
+    x = np.array(x0, dtype=np.float64)
+    xbar_sum = np.zeros_like(x)
+    rows = []
+    for k in range(1, max_iters + 1):
+        g = oracle.draw(x).g
+        step = c if rule == "constant" else c / math.sqrt(k)
+        x_next = project_ball(x - step * g / metric.b_diag, domain, metric)
+        r = norm(metric, x_next - x)
+        xbar_sum += x_next
+        F = obj.f_eval(xbar_sum / k)[0] if _traced(k, max_iters) else math.nan
+        rows.append((k, F, 1.0 / step, r, math.nan, math.nan, oracle.calls))
+        x = x_next
+    return xbar_sum / max_iters, rows
+
+
 def bits(rows):
     return [tuple(float(v).hex() for v in row) for row in rows]
 
@@ -179,6 +226,33 @@ def test_adagrad_matches_reference(problem, cfg):
     x_ref, rows = ref_adagrad(obj, Oracle(obj, cfg), D, x0, ITERS)
     x, trace = run_adagrad_norm(obj, cfg, D=D, x0=x0, max_iters=ITERS,
                                 trace_every=TRACE_EVERY)
+    assert record_bits(trace) == bits(rows)
+    assert x.tobytes() == x_ref.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["stochastic_symmetrized", "deterministic_bregman"])
+def test_usfgm_without_A_matches_reference(problem, mode):
+    obj, x0 = problem
+    user = CompositeObjective(f_eval=obj.f_eval, domain=obj.domain, metric=obj.metric)
+    D = 1.1
+    x_ref, rows = ref_usfgm(user, D, x0, ITERS, mode == "deterministic_bregman")
+    x, trace = run_usfgm(user, D=D, x0=x0, max_iters=ITERS, surrogate_mode=mode,
+                         trace_every=TRACE_EVERY)
+    assert record_bits(trace) == bits(rows)
+    assert x.tobytes() == x_ref.tobytes()
+
+
+@pytest.mark.parametrize("rule", [("constant", 0.05), ("decaying", 0.5)],
+                         ids=["constant", "decaying"])
+@pytest.mark.parametrize("cfg", [
+    OracleConfig(kind="gaussian", sigma=0.5, seed=7),
+    OracleConfig(kind="minibatch", batch_size=4, seed=8),
+], ids=["gaussian", "minibatch"])
+def test_sgd_matches_reference(problem, cfg, rule):
+    obj, x0 = problem
+    x_ref, rows = ref_sgd(obj, Oracle(obj, cfg), *rule, x0, ITERS)
+    x, trace = run_projected_subgrad(obj, cfg, step_rule=rule, x0=x0,
+                                     max_iters=ITERS, trace_every=TRACE_EVERY)
     assert record_bits(trace) == bits(rows)
     assert x.tobytes() == x_ref.tobytes()
 

@@ -406,6 +406,16 @@ class TestAdagradNorm:
         with pytest.raises(ValueError):
             run_adagrad_norm(ls_instance, gamma_variant="classic", max_iters=2)
 
+    @pytest.mark.parametrize("scale", [1e-171, 1e-200, 1e-300])
+    def test_tiny_gradients_give_positive_H(self, scale):
+        # gamma^2 underflows to 0 here; H = 0 would make every step a
+        # Frank-Wolfe step.  H'_k = sqrt(k) * scale / D
+        obj = linear_objective(np.array([scale, 0.0]))
+        _, trace = run_adagrad_norm(obj, gamma_variant="grad_norm", max_iters=8)
+        for rec in trace:
+            assert rec.H == pytest.approx(math.sqrt(rec.k) * scale / 2.0,
+                                          rel=1e-12, abs=0.0)
+
 
 @pytest.mark.parametrize("run", [
     run_ugm, run_usgm, run_usfgm, run_adagrad_norm,
