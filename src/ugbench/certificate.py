@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import DimensionMismatchError, _pairing, _scaled_dual_norm
+from .metric import DimensionMismatchError, _dual_norm, _pairing
 
 
 @dataclass
@@ -75,5 +75,5 @@ def _phi_star(acc, domain, metric):
     c_bar = acc.sum_g / acc.k
     kappa = acc.sum_affine_const / acc.k
     # an underflowed ||c_bar||_* would put phi_star above F*
-    k, n = _scaled_dual_norm(metric.b_diag, c_bar)
-    return kappa + _pairing(c_bar, domain.center) - domain.radius * (k * n)
+    return (kappa + _pairing(c_bar, domain.center)
+            - domain.radius * _dual_norm(metric.b_diag, c_bar))

@@ -111,17 +111,6 @@ def serialize_libsvm(dataset):
     return "\n".join(lines) + "\n"
 
 
-def normalize_columns(dataset):
-    """Per-column max-abs scaling (opt-in; off by default in the CLI)."""
-    scale = np.max(np.abs(dataset.features), axis=0)
-    scale[scale == 0.0] = 1.0
-    return Dataset(
-        features=dataset.features / scale,
-        labels=dataset.labels,
-        source=dataset.source + ":normalized",
-    )
-
-
 def synth_least_squares(m, n, seed):
     """Synthetic interpolation instance: b = A x* with x* on the unit sphere.
 

@@ -74,29 +74,35 @@ def pairing(s, x):
     return _pairing(s, x)
 
 
-def _norm(b, x):
-    return math.sqrt((b * x).dot(x))
-
-
-def _dual_norm(b, s):
-    return math.sqrt((s / b).dot(s))
-
-
-# below this the sum of squares in _dual_norm has left the normal range
+# a root below this is that of a sum of squares below the normal range
 _SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
-def _scaled_dual_norm(b, s):
-    """(k, n) with ||s||_* = k * n, where n = ||s / k||_*.
+def _norm(b, x):
+    n = math.sqrt((b * x).dot(x))
+    if n < _SQRT_TINY and np.count_nonzero(x):  # underflow: rescale by max|x_i|
+        k = np.abs(x).max()
+        x = x / k
+        return k * math.sqrt((b * x).dot(x))
+    return n
 
-    k is 1 and n is _dual_norm(b, s), unless the sum of squares may have
-    underflowed; then k = max|s_i|, and n is computed on s / k.
-    """
-    n = _dual_norm(b, s)
-    if n < _SQRT_TINY:
+
+def _dual_norm(b, s):
+    n = math.sqrt((s / b).dot(s))
+    if n < _SQRT_TINY and np.count_nonzero(s):
+        k, n = _scaled_dual_norm(b, s)
+        return k * n
+    return n
+
+
+def _scaled_dual_norm(b, s):
+    """(k, n) with ||s||_* = k * n and n = ||s / k||_*, where k is 1, or
+    max|s_i| if the sum of squares of s underflows."""
+    n = math.sqrt((s / b).dot(s))
+    if n < _SQRT_TINY and np.count_nonzero(s):
         k = np.abs(s).max()
-        if k > 0.0:
-            return k, _dual_norm(b, s / k)
+        s = s / k
+        return k, math.sqrt((s / b).dot(s))
     return 1.0, n
 
 

@@ -4,10 +4,12 @@ psi is always the indicator of a ball in the B-norm; the prox subproblem
     argmin_{x in ball} <c, x> + (H/2) ||x - anchor||^2
 is a shifted projection (or a linear minimization when H = 0).
 
-prox_step and project_ball validate their arguments on every call, then
-call the kernels _prox_step and _project_ball, which solvers call
-directly after validating once at entry.  What a user's f_eval returns
-stays outside input: solvers pass each subgradient through _gradient.
+prox_step and project_ball validate their arguments on every call (and
+prox_step that its anchor lies in the ball), then call the kernels
+_prox_step and _project_ball.  Solvers validate once at entry, the start
+point's feasibility included, and then call the kernels, whose outputs
+stay in the ball.  What a user's f_eval returns stays outside input:
+solvers pass each subgradient through _gradient.
 """
 
 import math
@@ -19,15 +21,15 @@ import numpy as np
 from .metric import (DimensionMismatchError, MetricSpace, _norm,
                      _scaled_dual_norm, dual_norm, norm)
 
-# relative slack when checking that a prox anchor is feasible; absorbs
-# round-off from earlier projections
+# relative slack when checking that a start point or prox anchor is
+# feasible; absorbs round-off from earlier projections
 ANCHOR_FEAS_TOL = 1e-9
 # per-entry rounding allowance, in units of the larger absolute coordinate
 _ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
 
 
 class InfeasibleAnchorError(ValueError):
-    """Prox anchor lies outside the domain beyond tolerance."""
+    """Start point or prox anchor lies outside the domain beyond tolerance."""
 
 
 class DataShapeError(ValueError):
@@ -56,7 +58,8 @@ class BallDomain:
     def contains(self, x, metric, rtol=ANCHOR_FEAS_TOL):
         """Whether ||x - center|| <= radius * (1 + rtol), up to rounding.
 
-        The feasibility rule of the prox anchor too.  A point stored in
+        The rule a solver's start point and prox_step's anchor must meet
+        (InfeasibleAnchorError otherwise).  A point stored in
         absolute coordinates carries up to an ulp of max(|center_i|, |x_i|)
         per entry, which off the origin can exceed the relative slack on a
         small radius; that allowance is computed only when needed.
@@ -103,6 +106,14 @@ class CompositeObjective:
         return self.f_eval(np.asarray(x, dtype=np.float64))[1]
 
 
+def _require_in_ball(x, domain, metric, name):
+    """Raise InfeasibleAnchorError, naming x, unless domain.contains(x)."""
+    if not domain.contains(x, metric):
+        dist = _norm(metric.b_diag, x - domain.center)
+        raise InfeasibleAnchorError(
+            f"{name} is outside the ball (distance {dist!r}, radius {domain.radius!r})")
+
+
 def project_ball(x, domain, metric):
     """B-metric projection onto the ball (radial scaling)."""
     return _project_ball(metric.check_dim(x), domain, metric)
@@ -124,22 +135,17 @@ def prox_step(c, anchor, H, domain, metric):
 
     For H > 0 this is the projection of anchor - B^-1 c / H; for H = 0 it
     degenerates to linear minimization over the ball (ties at c = 0 go to
-    the anchor, keeping runs deterministic).
+    the anchor, keeping runs deterministic).  The anchor must be feasible.
     """
-    return _prox_step(metric.check_dim(c), metric.check_dim(anchor), H,
-                      domain, metric)
+    c, anchor = metric.check_dim(c), metric.check_dim(anchor)
+    _require_in_ball(anchor, domain, metric, "prox anchor")
+    return _prox_step(c, anchor, H, domain, metric)
 
 
 def _prox_step(c, anchor, H, domain, metric):
     if not H >= 0:  # also rejects nan, which would select the H = 0 branch
         raise ValueError(f"H must be nonnegative, got {H}")
     b = metric.b_diag
-    center = domain.center
-    if not domain.contains(anchor, metric):
-        raise InfeasibleAnchorError(
-            "prox anchor lies outside the domain (||anchor - center|| = "
-            f"{_norm(b, anchor - center)!r}, radius = {domain.radius!r})"
-        )
     if H > 0:
         return _project_ball(anchor - c / (H * b), domain, metric)
     # the vertex depends only on the direction of c, so it is computed from
@@ -147,7 +153,7 @@ def _prox_step(c, anchor, H, domain, metric):
     k, dn = _scaled_dual_norm(b, c)
     if dn == 0.0:
         return anchor
-    return center - (domain.radius / dn) * ((c / k) / b)
+    return domain.center - (domain.radius / dn) * ((c / k) / b)
 
 
 _FLOAT64 = np.dtype(np.float64)

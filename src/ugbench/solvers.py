@@ -8,11 +8,11 @@ diameter is the only parameter any of these methods needs.
 
 One loop, _run, owns the iteration of every method: the counter, the
 clock, which iterations are monitored (trace_every), the records and the
-running average.  Each run_* validates its inputs once, at entry, and
-hands _run a step that iterates on the unchecked kernels.  Per iteration
-only what outside code returns is checked: each subgradient (_gradient),
-the prox anchor (_prox_step) and the finiteness of beta and H
-(balance_update).
+running average.  Each run_* validates its inputs once, at entry, the
+start point's feasibility included, and hands _run a step that iterates on
+the unchecked kernels, whose outputs stay in the ball.  Per iteration only
+what outside code returns is checked: each subgradient (_gradient),
+AdaGrad's H (_prox_step) and the finiteness of beta and H (balance_update).
 """
 
 import math
@@ -29,10 +29,11 @@ from .certificate import (  # noqa: F401
     CertificateAccumulator, _fold, _phi_star, certificate_gap,
     certificate_update)
 from .metric import (  # noqa: F401
-    _dual_norm, _norm, _pairing, _scaled_dual_norm, dual_norm, norm, pairing)
+    _dual_norm, _norm, _pairing, dual_norm, norm, pairing)
 from .oracles import Oracle, OracleConfig
 from .problems import (  # noqa: F401
-    _gradient, _project_ball, _prox_step, project_ball, prox_step)
+    _gradient, _project_ball, _prox_step, _require_in_ball, project_ball,
+    prox_step)
 
 
 class TraceRecord(NamedTuple):
@@ -84,11 +85,13 @@ def _diameter(obj, D):
 
 
 def _start_point(obj, x0):
-    """x0, by default the ball's centre, as a new float64 vector."""
-    metric = obj.metric
-    metric.check_dim(obj.domain.center)
-    return metric.check_dim(np.array(
-        obj.domain.center if x0 is None else x0, dtype=np.float64))
+    """x0, by default the ball's centre, as a new float64 vector in the ball."""
+    domain, metric = obj.domain, obj.metric
+    metric.check_dim(domain.center)
+    x = metric.check_dim(np.array(
+        domain.center if x0 is None else x0, dtype=np.float64))
+    _require_in_ball(x, domain, metric, "start point x0")
+    return x
 
 
 def _as_oracle(obj, oracle):
@@ -168,16 +171,13 @@ def run_ugm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
 
 
 def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
-             x0=None, trace_every=1, report="average"):
+             x0=None, trace_every=1):
     """Universal stochastic gradient method; returns the average iterate.
 
     The step-size surrogate is the sampled symmetrized Bregman term
     <g_{k+1} - g_k, x_{k+1} - x_k>; g_{k+1} is drawn strictly after
-    x_{k+1} is fixed.  report="last" traces F at the last iterate instead
-    of the average.
+    x_{k+1} is fixed.
     """
-    if report not in ("average", "last"):
-        raise ValueError(f"unknown report mode {report!r}")
     oracle = _as_oracle(obj, oracle)
     domain, metric, draw = obj.domain, obj.metric, oracle.draw
     D = _diameter(obj, D)
@@ -186,7 +186,6 @@ def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     b, shape = metric.b_diag, x.shape
     H = 0.0
     g = _gradient(draw(x).g, shape)
-    last = report == "last"
 
     def step(k, traced):
         nonlocal x, g, H
@@ -197,8 +196,7 @@ def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
         beta_hat = _pairing(g_next - g, d)
         H = balance_update(H, beta_hat, 0.5 * r * r, omega)
         x, g = x_next, g_next
-        F = (obj.value(x) if traced else math.nan) if last else None
-        return x, F, H, r, beta_hat, math.nan, oracle.calls
+        return x, None, H, r, beta_hat, math.nan, oracle.calls
 
     return _run(obj, step, x, max_iters, callbacks, trace_every, True)
 
@@ -346,7 +344,7 @@ def _adagrad_coefficient(b, D, gamma_variant):
 
     gamma is ||g_next - g||_* ("grad_diff") or ||g_next||_* ("grad_norm").
     While the sum of squares is below the normal range, where it loses its
-    digits or is 0, H' comes from a second sum in units of 2^-1200.
+    digits or is 0, H' comes from a second sum of (2^600 gamma)^2.
     """
     diff = gamma_variant == "grad_diff"
     sq_sum = scaled_sum = 0.0
@@ -358,8 +356,7 @@ def _adagrad_coefficient(b, D, gamma_variant):
         sq_sum += gamma * gamma
         if sq_sum >= _TINY:
             return math.sqrt(sq_sum) / D
-        k, n = _scaled_dual_norm(b, s)
-        gamma = k * _SCALE * n
+        gamma = _dual_norm(b, s * _SCALE)
         scaled_sum += gamma * gamma
         return math.sqrt(scaled_sum) / _SCALE / D
     return coefficient

@@ -3,7 +3,6 @@ import pytest
 
 from ugbench.dataio import (
     LibsvmParseError,
-    normalize_columns,
     parse_libsvm,
     serialize_libsvm,
     synth_least_squares,
@@ -87,21 +86,6 @@ def test_round_trip_preserves_data():
     assert back.n == 5
     np.testing.assert_array_equal(back.features, features)
     np.testing.assert_array_equal(back.labels, labels)
-
-
-def test_normalize_columns_max_abs_one():
-    ds = parse_libsvm("1 1:-4 2:0.5\n-1 1:2 2:0.25\n")
-    nd = normalize_columns(ds)
-    np.testing.assert_allclose(np.max(np.abs(nd.features), axis=0), [1.0, 1.0])
-    np.testing.assert_allclose(nd.features[:, 0], [-1.0, 0.5])
-    assert nd.source.endswith(":normalized")
-
-
-def test_normalize_columns_zero_column_untouched():
-    from ugbench.dataio import Dataset
-    ds = Dataset(features=np.array([[0.0, 2.0]]), labels=np.array([1.0]))
-    nd = normalize_columns(ds)
-    np.testing.assert_array_equal(nd.features, [[0.0, 1.0]])
 
 
 class TestSynthetic:

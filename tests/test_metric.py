@@ -19,6 +19,16 @@ def test_norm_zero_vector():
     assert norm(space, np.zeros(3)) == 0.0
 
 
+def test_norms_do_not_underflow():
+    # the plain sums of squares, ~1e-340, are below the float range
+    space = MetricSpace.euclidean(2)
+    assert norm(space, [1e-170, 0.0]) == 1e-170
+    assert dual_norm(space, [1e-170, 0.0]) == 1e-170
+    space = MetricSpace(2, np.array([4.0, 1.0]))
+    assert norm(space, [1e-170, 0.0]) == 2e-170
+    assert dual_norm(space, [1e-170, 0.0]) == 5e-171
+
+
 def test_dual_norm_identity_self_dual():
     space = MetricSpace.euclidean(2)
     assert dual_norm(space, [3.0, 4.0]) == pytest.approx(5.0)

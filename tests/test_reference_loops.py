@@ -276,13 +276,15 @@ def test_bad_start_shape_rejected(ls_problem, name, x0):
         RUNS[name](obj, x0=x0, max_iters=3)
 
 
-@pytest.mark.parametrize("name", PROX_RUNS)
+@pytest.mark.parametrize("name", RUNS)
 def test_infeasible_start_rejected(ls_problem, name):
+    # at entry, before any step
     obj, _ = ls_problem
     x0 = obj.domain.center + 2.0 * obj.domain.radius / np.sqrt(obj.metric.b_diag[0]) \
         * np.eye(obj.metric.dim)[0]
-    with pytest.raises(InfeasibleAnchorError):
-        PROX_RUNS[name](obj, x0=x0, max_iters=3)
+    for max_iters in (0, 3):
+        with pytest.raises(InfeasibleAnchorError):
+            RUNS[name](obj, x0=x0, max_iters=max_iters)
 
 
 def user_objective(obj, bad_call, bad_grad=None, bad_value=None):
