@@ -1,7 +1,7 @@
 """`ugbench` command-line benchmark harness.
 
 Subcommands: run (single solve per seed, CSV traces + summary), sweep
-(grid of step sizes / diameters, best configuration per solver), compare
+(grid of sgd step sizes or of diameters, best grid point marked), compare
 (several solvers on a shared problem, wide CSV of objective values).
 
 All outputs are pure functions of (config, seeds); wall-time columns are
@@ -13,7 +13,8 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class RunConfig:
     problem: str = "ls"              # ls | logistic | ppower:P
     data: str = "synthetic:100:50:0" # synthetic:M:N[:SEED] | libsvm path
     radius: float = 1.0
-    solver: str = "ugm"              # ugm|usgm|usfgm[:deterministic]|sgd:C[:constant]|adagrad:VARIANT
+    solver: str = "ugm"              # see parse_solver
     oracle: str = "exact"            # exact | gaussian:SIGMA | minibatch:B
     D: float = None                  # default 2 * radius
     max_iters: int = 1000
@@ -54,17 +55,19 @@ class RunConfig:
         if not 0.0 < self.radius < math.inf:
             raise ConfigError(
                 f"radius must be positive and finite, got {self.radius}")
-        if self.D is None:
-            self.D = 2.0 * self.radius
-        # D*D is the balance equation's Omega: it must neither underflow to
-        # 0 nor be infinite, which would keep H at 0 (a Frank-Wolfe method)
-        if not (self.D > 0 and 0.0 < self.D * self.D < math.inf):
-            raise ConfigError(
-                f"D must be positive with 0 < D*D < inf, got {self.D}")
+        self.D = _check_diameter(2.0 * self.radius if self.D is None else self.D)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if self.max_iters < 0 or self.trace_every < 1:
             raise ConfigError("bad iteration counts")
+
+
+def _check_diameter(D):
+    # D*D is the balance equation's Omega: it must neither underflow to
+    # 0 nor be infinite, which would keep H at 0 (a Frank-Wolfe method)
+    if not (D > 0 and 0.0 < D * D < math.inf):
+        raise ConfigError(f"D must be positive with 0 < D*D < inf, got {D}")
+    return D
 
 
 def _fmt(v):
@@ -146,199 +149,184 @@ def make_oracle_config(spec, seed):
     raise ConfigError(f"unknown oracle {spec!r}")
 
 
-def run_solver(cfg, obj, seed, solver=None, oracle_hook=None):
+class Solve(NamedTuple):
+    """A parsed solver spec: calls solvers.<entry>(obj, **kwargs, ...)."""
+    entry: str
+    kwargs: dict
+
+    def __call__(self, obj, oracle, max_iters, trace_every):
+        # looked up per call, so that a wrapper patched onto solvers is used
+        return getattr(solvers, self.entry)(
+            obj, oracle=oracle, max_iters=max_iters, trace_every=trace_every,
+            **self.kwargs)
+
+
+SOLVER_GRAMMAR = ("ugm, usgm, usfgm[:deterministic], adagrad[:grad_diff|grad_norm]"
+                  " or sgd[:STEP[:constant|decaying]] with finite STEP >= 0")
+
+
+def _sgd_step(value):
+    try:
+        step = float(value)
+    except ValueError:
+        step = math.nan
+    if not 0.0 <= step < math.inf:
+        raise ConfigError(f"sgd step must be a finite number >= 0, got {value!r}")
+    return step
+
+
+def parse_solver(spec, D):
+    """The one reader of solver specs: spec -> solve(obj, oracle, max_iters,
+    trace_every) with diameter D.  Anything outside SOLVER_GRAMMAR raises
+    ConfigError."""
+    D = _check_diameter(D)
+    name, *args = spec.split(":")
+    if name in ("ugm", "usgm") and not args:
+        return Solve("run_" + name, {"D": D})
+    if name == "usfgm" and args in ([], ["deterministic"]):
+        mode = "deterministic_bregman" if args else "stochastic_symmetrized"
+        return Solve("run_usfgm", {"D": D, "surrogate_mode": mode})
+    if name == "adagrad" and args in ([], ["grad_diff"], ["grad_norm"]):
+        return Solve("run_adagrad_norm",
+                     {"D": D, "gamma_variant": (args or ["grad_diff"])[0]})
+    if name == "sgd" and len(args) <= 2:
+        step = _sgd_step(args[0]) if args else 1.0
+        rule = args[1] if len(args) == 2 else "decaying"
+        if rule in ("constant", "decaying"):
+            return Solve("run_projected_subgrad", {"step_rule": (rule, step)})
+    raise ConfigError(f"bad solver {spec!r}; expected {SOLVER_GRAMMAR}")
+
+
+def run_solver(cfg, obj, seed, solver=None):
     """Execute one solver run; returns (result_x, trace)."""
-    spec = solver if solver is not None else cfg.solver
-    name, _, arg = spec.partition(":")
-    oracle = Oracle(obj, make_oracle_config(cfg.oracle, seed))
-    if oracle_hook is not None:
-        oracle = oracle_hook(oracle)
-    common = dict(oracle=oracle, max_iters=cfg.max_iters,
-                  trace_every=cfg.trace_every)
-    if name == "ugm":
-        return solvers.run_ugm(obj, D=cfg.D, **common)
-    if name == "usgm":
-        return solvers.run_usgm(obj, D=cfg.D, **common)
-    if name == "usfgm":
-        mode = ("deterministic_bregman" if arg == "deterministic"
-                else "stochastic_symmetrized")
-        return solvers.run_usfgm(obj, D=cfg.D, surrogate_mode=mode, **common)
-    if name == "sgd":
-        parts = arg.split(":") if arg else []
-        step = float(parts[0]) if parts else 1.0
-        rule = parts[1] if len(parts) > 1 else "decaying"
-        return solvers.run_projected_subgrad(
-            obj, step_rule=(rule, step), **common)
-    if name == "adagrad":
-        return solvers.run_adagrad_norm(
-            obj, D=cfg.D, gamma_variant=arg or "grad_diff", **common)
-    raise ConfigError(f"unknown solver {spec!r}")
+    solve = parse_solver(solver if solver is not None else cfg.solver, cfg.D)
+    return solve(obj, Oracle(obj, make_oracle_config(cfg.oracle, seed)),
+                 cfg.max_iters, cfg.trace_every)
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def write_trace(path, trace):
-    with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for rec in trace:
-            fh.write(",".join([
-                str(rec.k), _fmt(rec.F_value), _fmt(rec.H), _fmt(rec.r),
-                _fmt(rec.beta_surrogate), _fmt(rec.certificate_gap),
-                str(rec.cum_oracle_calls), _fmt(rec.wall_time_s),
-            ]) + "\n")
+    _write_csv(path, TRACE_HEADER, ([
+        str(rec.k), _fmt(rec.F_value), _fmt(rec.H), _fmt(rec.r),
+        _fmt(rec.beta_surrogate), _fmt(rec.certificate_gap),
+        str(rec.cum_oracle_calls), _fmt(rec.wall_time_s),
+    ] for rec in trace))
 
 
 def _solver_tag(spec):
     return spec.replace(":", "-").replace(".", "p")
 
 
-def cmd_run(cfg):
+def _prepare(cfg, parse):
+    """The front of every command, in this order: build the problem, parse
+    every solve (parse() lists (label, solve) pairs), build one oracle per
+    solve and seed, and only then create cfg.out, so that a bad spec leaves
+    no output.  Returns obj and one (label, solve, oracles) per solve."""
     obj = make_problem(cfg, load_dataset(cfg))
+    jobs = [(label, solve, [Oracle(obj, make_oracle_config(cfg.oracle, seed))
+                            for seed in cfg.seeds])
+            for label, solve in parse()]
     os.makedirs(cfg.out, exist_ok=True)
+    return obj, jobs
 
-    def one(seed):
-        _, trace = run_solver(cfg, obj, seed)
-        return seed, trace
 
-    results = _map_jobs(one, cfg.seeds, cfg.jobs)
-    summary_rows = []
-    for seed, trace in results:
-        path = os.path.join(cfg.out, f"trace_{_solver_tag(cfg.solver)}_{seed}.csv")
-        write_trace(path, trace)
+def _map_jobs(cfg, obj, solve, oracles, reduce=lambda trace: trace):
+    """reduce(trace) of solve on each seed's oracle, over cfg.jobs threads."""
+    def one(oracle):
+        return reduce(solve(obj, oracle, cfg.max_iters, cfg.trace_every)[1])
+    if cfg.jobs <= 1:
+        return [one(oracle) for oracle in oracles]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        return list(pool.map(one, oracles))
+
+
+def cmd_run(cfg):
+    obj, [(_, solve, oracles)] = _prepare(
+        cfg, lambda: [(None, parse_solver(cfg.solver, cfg.D))])
+    summary = []
+    for seed, trace in zip(cfg.seeds, _map_jobs(cfg, obj, solve, oracles)):
+        write_trace(os.path.join(
+            cfg.out, f"trace_{_solver_tag(cfg.solver)}_{seed}.csv"), trace)
         last = trace[-1] if trace else None
-        summary_rows.append({
-            "solver": cfg.solver, "seed": seed,
-            "final_F": last.F_value if last else math.nan,
-            "final_gap_or_cert": last.certificate_gap if last else math.nan,
-            "iters": last.k if last else 0,
-            "oracle_calls": last.cum_oracle_calls if last else 0,
-            "wall_time_s": last.wall_time_s if last else 0.0,
-        })
-    _write_summary(os.path.join(cfg.out, "summary.csv"), summary_rows)
+        summary.append([cfg.solver, str(seed)] + ([
+            _fmt(last.F_value), _fmt(last.certificate_gap), str(last.k),
+            str(last.cum_oracle_calls), _fmt(last.wall_time_s),
+        ] if last else ["", "", "0", "0", "0"]))
+    _write_csv(os.path.join(cfg.out, "summary.csv"), "solver,seed,final_F,"
+               "final_gap_or_cert,iters,oracle_calls,wall_time_s", summary)
     return 0
 
 
-def _write_summary(path, rows):
-    with open(path, "w") as fh:
-        fh.write("solver,seed,final_F,final_gap_or_cert,iters,oracle_calls,wall_time_s\n")
-        for r in rows:
-            fh.write(",".join([
-                r["solver"], str(r["seed"]), _fmt(r["final_F"]),
-                _fmt(r["final_gap_or_cert"]), str(r["iters"]),
-                str(r["oracle_calls"]), _fmt(r["wall_time_s"]),
-            ]) + "\n")
-
-
-def _map_jobs(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _grid_for(solver, steps, diameters):
-    """sgd sweeps step sizes; the universal/adagrad methods sweep diameters."""
-    name = solver.partition(":")[0]
-    if name == "sgd":
-        return [("step", s) for s in steps]
-    return [("D", d) for d in diameters]
-
-
-def cmd_sweep(cfg, steps=DEFAULT_STEP_GRID, diameters=DEFAULT_DIAMETER_GRID,
-              solvers_list=None):
+def cmd_sweep(cfg, steps=DEFAULT_STEP_GRID, diameters=DEFAULT_DIAMETER_GRID):
     if not steps or not diameters:
         raise ConfigError("sweep grid must be nonempty")
-    obj = make_problem(cfg, load_dataset(cfg))
-    os.makedirs(cfg.out, exist_ok=True)
-    solver_specs = solvers_list or [cfg.solver]
-    rows = []
-    for spec in solver_specs:
-        for param_name, value in _grid_for(spec, steps, diameters):
-            if param_name == "step":
-                run_spec = f"sgd:{value}"
-                run_cfg = cfg
-            else:
-                run_spec = spec
-                run_cfg = replace(cfg, D=value)
 
-            def one(seed, run_cfg=run_cfg, run_spec=run_spec):
-                _, trace = run_solver(run_cfg, obj, seed, solver=run_spec)
-                return trace[-1].F_value if trace else math.nan
+    def grid():
+        # sgd sweeps its step size under its own rule; the others sweep D
+        solve = parse_solver(cfg.solver, cfg.D)
+        if "step_rule" not in solve.kwargs:
+            return [(("D", d), parse_solver(cfg.solver, d)) for d in diameters]
+        rule = solve.kwargs["step_rule"][0]
+        return [(("step", s), solve._replace(
+            kwargs={"step_rule": (rule, _sgd_step(s))})) for s in steps]
 
-            finals = _map_jobs(one, cfg.seeds, cfg.jobs)
-            rows.append({
-                "solver": spec, "param": param_name, "value": value,
-                "mean_final_F": float(np.mean(finals)),
-            })
-    best = {}
-    for r in rows:
-        cur = best.get(r["solver"])
-        # ties break toward the smaller parameter value
-        if (cur is None or r["mean_final_F"] < cur["mean_final_F"]
-                or (r["mean_final_F"] == cur["mean_final_F"]
-                    and r["value"] < cur["value"])):
-            best[r["solver"]] = r
-    with open(os.path.join(cfg.out, "sweep.csv"), "w") as fh:
-        fh.write("solver,param,value,mean_final_F,best\n")
-        for r in rows:
-            is_best = int(best[r["solver"]] is r)
-            fh.write(f"{r['solver']},{r['param']},{_fmt(r['value'])},"
-                     f"{_fmt(r['mean_final_F'])},{is_best}\n")
+    obj, jobs = _prepare(cfg, grid)
+    rows = [(param, value, float(np.mean(_map_jobs(
+                cfg, obj, solve, oracles,
+                lambda trace: trace[-1].F_value if trace else math.nan))))
+            for (param, value), solve, oracles in jobs]
+    # ties break toward the smaller parameter value, then the earlier row
+    best = min(range(len(rows)), key=lambda i: (rows[i][2], rows[i][1]))
+    _write_csv(os.path.join(cfg.out, "sweep.csv"),
+               "solver,param,value,mean_final_F,best",
+               ([cfg.solver, param, _fmt(value), _fmt(F), str(int(i == best))]
+                for i, (param, value, F) in enumerate(rows)))
     return 0
 
 
-def _recording(grads):
-    """An oracle hook that appends every drawn gradient to grads."""
-    def hook(oracle):
-        draw = oracle.draw
+def _record(oracle):
+    """Make oracle append every gradient it draws to the returned list."""
+    grads, draw = [], oracle.draw
 
-        def recording_draw(x):
-            sample = draw(x)
-            grads.append(sample.g)
-            return sample
-        oracle.draw = recording_draw
-        return oracle
-    return hook
+    def recording_draw(x):
+        sample = draw(x)
+        grads.append(sample.g)
+        return sample
+    oracle.draw = recording_draw
+    return grads
 
 
 def cmd_compare(cfg, solver_specs):
     if len(solver_specs) < 2:
         raise ConfigError("compare needs at least two solvers")
-    obj = make_problem(cfg, load_dataset(cfg))
-    os.makedirs(cfg.out, exist_ok=True)
-    columns = {}
-    domination = None
-    want_domination = ("usgm" in solver_specs
-                       and any(s.startswith("adagrad") and
-                               (s.endswith("grad_diff") or s == "adagrad")
-                               for s in solver_specs))
-    for spec in solver_specs:
-        per_seed = []
-        for i, seed in enumerate(cfg.seeds):
-            record = spec == "usgm" and want_domination and i == 0
-            grads = []
-            _, trace = run_solver(cfg, obj, seed, solver=spec,
-                                  oracle_hook=_recording(grads) if record else None)
-            per_seed.append([rec.F_value for rec in trace])
-            if record:
-                # AdaGrad's coefficient on the gradients USGM drew
-                coefficient = solvers._adagrad_coefficient(
-                    obj.metric.b_diag, cfg.D, "grad_diff")
-                h_prime = [coefficient(g, g_next)
-                           for g, g_next in zip(grads, grads[1:])]
-                domination = (np.asarray(h_prime)
-                              - np.asarray([rec.H for rec in trace]))
-        columns[spec] = np.nanmean(np.asarray(per_seed), axis=0)
-    n_rows = min(len(c) for c in columns.values())
-    path = os.path.join(cfg.out, "compare.csv")
-    with open(path, "w") as fh:
-        header = ["k"] + [f"F_{_solver_tag(s)}" for s in solver_specs]
-        if domination is not None:
-            header.append("adagrad_domination")
-        fh.write(",".join(header) + "\n")
-        for i in range(n_rows):
-            row = [str(i + 1)] + [_fmt(columns[s][i]) for s in solver_specs]
-            if domination is not None:
-                row.append(_fmt(domination[i]))
-            fh.write(",".join(row) + "\n")
+    obj, jobs = _prepare(cfg, lambda: [(spec, parse_solver(spec, cfg.D))
+                                       for spec in solver_specs])
+    solves = [solve for _, solve, _ in jobs]
+    usgm, grads = parse_solver("usgm", cfg.D), None
+    if usgm in solves and parse_solver("adagrad", cfg.D) in solves:
+        grads = _record(jobs[solves.index(usgm)][2][0])
+    traces = [_map_jobs(cfg, obj, solve, oracles, lambda trace: (
+                  [rec.F_value for rec in trace], [rec.H for rec in trace]))
+              for _, solve, oracles in jobs]
+    columns = [np.nanmean(np.asarray([F for F, _ in per_seed]), axis=0)
+               for per_seed in traces]
+    header = ["k"] + [f"F_{_solver_tag(spec)}" for spec, _, _ in jobs]
+    if grads is not None:
+        # AdaGrad's coefficient on the gradients USGM drew on the first seed
+        coefficient = solvers._adagrad_coefficient(
+            obj.metric.b_diag, cfg.D, "grad_diff")
+        h_prime = [coefficient(g, g_next) for g, g_next in zip(grads, grads[1:])]
+        H = traces[solves.index(usgm)][0][1]
+        columns.append(np.asarray(h_prime) - np.asarray(H))
+        header.append("adagrad_domination")
+    _write_csv(os.path.join(cfg.out, "compare.csv"), ",".join(header),
+               ([str(i + 1)] + [_fmt(c[i]) for c in columns]
+                for i in range(min(len(c) for c in columns))))
     return 0
 
 
@@ -348,13 +336,12 @@ def _build_config(args):
         values.update(parse_config_file(args.config))
     # argparse has typed the numeric flags; config-file values are cast below
     for key in ("problem", "data", "solver", "oracle", "out", "radius", "D",
-                "iters", "trace_every", "jobs"):
+                "iters", "trace_every", "jobs", "seeds"):
         v = getattr(args, key, None)
         if v is not None:
             values["max_iters" if key == "iters" else key] = v
-    seeds = args.seeds if args.seeds is not None else values.get("seeds")
-    values["seeds"] = (tuple(int(s) for s in seeds.split(",")) if seeds is not None
-                       else (int(os.environ.get("UGBENCH_SEED", "0")),))
+    if isinstance(values.get("seeds"), str):
+        values["seeds"] = tuple(int(s) for s in values["seeds"].split(","))
     for key, cast in (("radius", float), ("D", float), ("max_iters", int),
                       ("trace_every", int), ("jobs", int)):
         if key in values and isinstance(values[key], str):

@@ -37,12 +37,13 @@ def parse_libsvm(stream, classification=False, source=""):
     """Parse LIBSVM text: `<label> <idx>:<val> ...` with 1-based indices.
 
     Indices must be strictly increasing within a row; n is the max index
-    seen; missing entries are zero.  With classification=True, {0, 1}
-    labels are remapped to {-1, +1}.
+    seen and must be >= 1; missing entries are zero; labels and values must
+    be finite.  With classification=True, {0, 1} labels are remapped to
+    {-1, +1}.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    rows = []
+    rows = {}  # line number -> {index: value}
     labels = []
     max_index = 0
     for lineno, raw in enumerate(stream, start=1):
@@ -84,14 +85,26 @@ def parse_libsvm(stream, classification=False, source=""):
             prev_index = idx
             row[idx] = val
             max_index = max(max_index, idx)
-        rows.append(row)
+        rows[lineno] = row
     if not rows:
         raise LibsvmParseError("no records")
+    if max_index == 0:
+        raise LibsvmParseError("no features: every record has only a label")
     features = np.zeros((len(rows), max_index))
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows.values()):
         for idx, val in row.items():
             features[i, idx - 1] = val
     labels = np.asarray(labels)
+    # one vectorised check; the offending token is looked up only on failure
+    finite_rows = np.isfinite(labels) & np.isfinite(features).all(axis=1)
+    if not finite_rows.all():
+        i = int(np.argmin(finite_rows))
+        lineno = list(rows)[i]
+        tokens = [labels[i], *rows[lineno].values()]
+        col = next(c for c, v in enumerate(tokens, start=1) if not np.isfinite(v))
+        raise LibsvmParseError(
+            f"non-finite {'label' if col == 1 else 'value'} {tokens[col - 1]}",
+            line=lineno, column=col)
     if classification:
         unique = set(np.unique(labels))
         if unique <= {0.0, 1.0}:

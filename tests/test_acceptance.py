@@ -291,7 +291,11 @@ def test_criterion_12_parser_round_trip():
         # malformed lines carry the right line number
         for text, lineno in (("1 1:1\nbad 1:1\n", 2),
                              ("1 1:1\n1 2:1\n1 0:9\n", 3),
-                             ("1 5:1 3:1\n", 1)):
+                             ("1 5:1 3:1\n", 1),
+                             ("1 1:1\n1 1:nan\n", 2),
+                             ("1 1:1\n\n1 1:2 2:inf\n", 3),
+                             ("1 1:1\n1e400 1:1\n", 2),
+                             ("1 1:1 2:-1e400\n", 1)):
             with pytest.raises(LibsvmParseError, match=f"line {lineno}"):
                 parse_libsvm(text)
 

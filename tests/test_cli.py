@@ -27,6 +27,35 @@ def read_csv(path):
 SMALL = ["--data", "synthetic:20:8:0", "--iters", "200"]
 
 
+def _spec_args(command, flag, spec):
+    # compare takes its solvers as a list; a bad one sits beside a good one
+    if command != "compare":
+        return [flag, spec]
+    if flag == "--solver":
+        return ["--solvers", f"usgm,{spec}"]
+    return [flag, spec, "--solvers", "usgm,adagrad"]
+
+
+BAD_SPECS = [
+    pytest.param(command, _spec_args(command, flag, spec),
+                 id=f"{command}{flag}={spec}")
+    for command in ("run", "sweep", "compare")
+    for flag, specs in (
+        ("--solver", ("bogus", "adagrad:bogus", "sgd:abc", "sgd:-1", "sgd:inf",
+                      "sgd:1:bogus", "usfgm:determinstic", "ugm:")),
+        ("--oracle", ("bogus", "gaussian:-1", "minibatch:0")))
+    for spec in specs
+] + [
+    # sgd sweeps step sizes, every other method sweeps diameters
+    pytest.param("sweep", [f"--diameters={grid}"], id=f"sweep--diameters={grid}")
+    for grid in ("0", "1,-1", "1,nan", "1,inf")
+] + [
+    pytest.param("sweep", ["--solver", "sgd:1:constant", f"--steps={grid}"],
+                 id=f"sweep--steps={grid}")
+    for grid in ("-1", "1,nan", "1,inf")
+]
+
+
 class TestRun:
     def test_run_writes_trace_and_summary(self, tmp_path):
         out = str(tmp_path)
@@ -110,6 +139,13 @@ class TestBadInputs:
         assert rc == EXIT_BAD_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, args", BAD_SPECS)
+    def test_bad_spec_rejected_before_output(self, tmp_path, command, args):
+        out = tmp_path / "out"
+        rc = main([command, *SMALL, *args, "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path):
         rc = main(["run", "--data", str(tmp_path / "absent.libsvm"),
                    "--out", str(tmp_path)])
@@ -121,6 +157,22 @@ class TestBadInputs:
         rc = main(["run", "--data", str(path), "--out", str(tmp_path)])
         assert rc == EXIT_DATA_ERROR
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    @pytest.mark.parametrize("text", [
+        pytest.param("1 1:1\n1 1:nan\n", id="nan-value"),
+        pytest.param("1 1:inf\n", id="inf-value"),
+        pytest.param("1e400 1:1\n", id="overflowing-label"),
+        pytest.param("1\n-1\n", id="no-features")])
+    def test_bad_libsvm_values_rejected_before_output(self, tmp_path, command,
+                                                      text):
+        path = tmp_path / "bad.libsvm"
+        path.write_text(text)
+        out = tmp_path / "out"
+        extra = ["--solvers", "ugm,usgm"] if command == "compare" else []
+        rc = main([command, "--data", str(path), *extra, "--out", str(out)])
+        assert rc == EXIT_DATA_ERROR
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -196,13 +248,6 @@ class TestConfigFile:
         assert rc == EXIT_BAD_CONFIG
         assert not out.exists()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("UGBENCH_SEED", "9")
-        out = str(tmp_path)
-        rc = main(["run", "--solver", "ugm", *SMALL, "--out", out])
-        assert rc == 0
-        assert os.path.exists(os.path.join(out, "trace_ugm_9.csv"))
-
 
 class TestSweep:
     def test_sgd_sweeps_step_grid(self, tmp_path):
@@ -233,6 +278,20 @@ class TestSweep:
         rows = read_csv(os.path.join(out, "sweep.csv"))
         assert len(rows) == 2 and rows[1][4] == "1"
 
+    def test_sgd_sweep_keeps_the_step_rule(self, tmp_path):
+        common = ["--data", "synthetic:15:5:0", "--iters", "60", "--seeds", "0,1"]
+        assert main(["sweep", "--solver", "sgd:1:constant", "--steps",
+                     "1,0.1,0.01", *common, "--out", str(tmp_path / "sweep")]) == 0
+        rows = read_csv(tmp_path / "sweep" / "sweep.csv")[1:]
+        assert [r[:2] for r in rows] == [["sgd:1:constant", "step"]] * 3
+        for row, step in zip(rows, ("1", "0.1", "0.01")):
+            out = tmp_path / step
+            assert main(["run", "--solver", f"sgd:{step}:constant", *common,
+                         "--out", str(out)]) == 0
+            finals = [float(r[2]) for r in read_csv(out / "summary.csv")[1:]]
+            assert float(row[2]) == float(step)
+            assert float(row[3]) == float(np.mean(finals))
+
     def test_empty_grid_rejected(self, tmp_path):
         from ugbench.cli import RunConfig, cmd_sweep, ConfigError
         cfg = RunConfig(data="synthetic:5:2:0", max_iters=5,
@@ -253,6 +312,16 @@ class TestCompare:
         assert len(rows) == 301
         # the accelerated variant should win on a smooth instance by the end
         assert float(rows[-1][2]) <= float(rows[-1][1]) * (1 + 1e-9)
+
+    def test_jobs_flag_matches_serial(self, tmp_path):
+        common = ["compare", "--solvers", "usgm,adagrad,sgd:0.1", "--oracle",
+                  "gaussian:0.5", "--data", "synthetic:20:8:0", "--iters", "100",
+                  "--seeds", "0,1,2"]
+        assert main([*common, "--out", str(tmp_path / "a")]) == 0
+        assert main([*common, "--jobs", "2", "--out", str(tmp_path / "b")]) == 0
+        serial = read_csv(tmp_path / "a" / "compare.csv")
+        assert serial[0][-1] == "adagrad_domination" and len(serial) == 101
+        assert read_csv(tmp_path / "b" / "compare.csv") == serial
 
     def test_single_solver_rejected(self, tmp_path):
         rc = main(["compare", "--solvers", "ugm",

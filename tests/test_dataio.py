@@ -35,6 +35,18 @@ class TestParse:
         with pytest.raises(LibsvmParseError, match="no records"):
             parse_libsvm("# only comments\n\n")
 
+    def test_labels_without_features_rejected(self):
+        with pytest.raises(LibsvmParseError, match="no features"):
+            parse_libsvm("1\n-1 # no index:value pairs\n")
+
+    @pytest.mark.parametrize("text, column", [
+        pytest.param("nan 1:1\n", 1, id="nan-label"),
+        pytest.param("1 1:1 2:inf\n", 3, id="inf-value"),
+        pytest.param("1 2:-1e400\n", 2, id="overflowing-value")])
+    def test_non_finite_reports_column(self, text, column):
+        with pytest.raises(LibsvmParseError, match=f"line 1, column {column}"):
+            parse_libsvm(text)
+
     def test_bad_label_reports_line(self):
         with pytest.raises(LibsvmParseError, match="line 2"):
             parse_libsvm("1 1:1\nfoo 1:1\n")
