@@ -58,6 +58,11 @@ class RunConfig:
         self.D = _check_diameter(2.0 * self.radius if self.D is None else self.D)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        # two equal seeds would give two identical solves one trace file
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         if self.max_iters < 0 or self.trace_every < 1:
             raise ConfigError("bad iteration counts")
 
@@ -138,21 +143,38 @@ def make_problem(cfg, dataset):
     raise ConfigError(f"unknown problem {cfg.problem!r}")
 
 
+ORACLE_GRAMMAR = ("exact, gaussian:SIGMA with finite SIGMA >= 0 or "
+                  "minibatch:B with integer B >= 1")
+
+
 def make_oracle_config(spec, seed):
-    name, _, arg = spec.partition(":")
-    if name == "exact":
+    """The one reader of oracle specs; anything outside ORACLE_GRAMMAR
+    raises ConfigError."""
+    name, *args = spec.split(":")
+    if name == "exact" and not args:
         return OracleConfig(kind="exact", seed=seed)
-    if name == "gaussian":
-        return OracleConfig(kind="gaussian", sigma=float(arg or 0.0), seed=seed)
-    if name == "minibatch":
-        return OracleConfig(kind="minibatch", batch_size=int(arg or 1), seed=seed)
-    raise ConfigError(f"unknown oracle {spec!r}")
+    if len(args) == 1:
+        try:
+            if name == "gaussian" and 0.0 <= float(args[0]) < math.inf:
+                return OracleConfig(kind="gaussian", sigma=float(args[0]),
+                                    seed=seed)
+            if name == "minibatch" and int(args[0]) >= 1:
+                return OracleConfig(kind="minibatch", batch_size=int(args[0]),
+                                    seed=seed)
+        except ValueError:
+            pass
+    raise ConfigError(f"bad oracle {spec!r}; expected {ORACLE_GRAMMAR}")
 
 
 class Solve(NamedTuple):
     """A parsed solver spec: calls solvers.<entry>(obj, **kwargs, ...)."""
     entry: str
     kwargs: dict
+
+    @property
+    def needs_exact_oracle(self):
+        return (self.entry == "run_ugm"
+                or self.kwargs.get("surrogate_mode") == "deterministic_bregman")
 
     def __call__(self, obj, oracle, max_iters, trace_every):
         # looked up per call, so that a wrapper patched onto solvers is used
@@ -210,12 +232,14 @@ def _write_csv(path, header, rows):
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
+# one trace record; a nan prints as "nan", which _fmt writes as ""
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
+
+
 def write_trace(path, trace):
-    _write_csv(path, TRACE_HEADER, ([
-        str(rec.k), _fmt(rec.F_value), _fmt(rec.H), _fmt(rec.r),
-        _fmt(rec.beta_surrogate), _fmt(rec.certificate_gap),
-        str(rec.cum_oracle_calls), _fmt(rec.wall_time_s),
-    ] for rec in trace))
+    with open(path, "w") as fh:
+        fh.write(TRACE_HEADER + "\n")
+        fh.write("".join([_TRACE_ROW % rec for rec in trace]).replace("nan", ""))
 
 
 def _solver_tag(spec):
@@ -231,12 +255,35 @@ def _prepare(cfg, parse):
     jobs = [(label, solve, [Oracle(obj, make_oracle_config(cfg.oracle, seed))
                             for seed in cfg.seeds])
             for label, solve in parse()]
+    for label, solve, oracles in jobs:
+        if solve.needs_exact_oracle and not oracles[0].is_exact:
+            spec = label if isinstance(label, str) else cfg.solver
+            raise ConfigError(
+                f"solver {spec!r} needs an exact oracle, got {cfg.oracle!r}")
     os.makedirs(cfg.out, exist_ok=True)
     return obj, jobs
 
 
-def _map_jobs(cfg, obj, solve, oracles, reduce=lambda trace: trace):
-    """reduce(trace) of solve on each seed's oracle, over cfg.jobs threads."""
+_LANE_ENTRIES = ("run_usgm", "run_adagrad_norm")
+
+
+def _map_jobs(cfg, obj, solve, oracles, reduce=lambda trace: trace,
+              grads=None):
+    """reduce(trace) of solve on each seed's oracle; grads, if a list,
+    receives the gradients the first seed's oracle draws.
+
+    Several seeds of usgm and adagrad run as the lanes of one pass
+    (solvers._run_lanes), which needs what _prepare builds: oracles of one
+    spec on a built-in objective.  Other solves run per seed, over cfg.jobs
+    threads.
+    """
+    if solve.entry in _LANE_ENTRIES and len(oracles) > 1:
+        return [reduce(trace) for _, trace in solvers._run_lanes(
+            obj, oracles, cfg.max_iters, cfg.trace_every, grads=grads,
+            **solve.kwargs)]
+    if grads is not None:
+        _record(oracles[0], grads)
+
     def one(oracle):
         return reduce(solve(obj, oracle, cfg.max_iters, cfg.trace_every)[1])
     if cfg.jobs <= 1:
@@ -289,16 +336,15 @@ def cmd_sweep(cfg, steps=DEFAULT_STEP_GRID, diameters=DEFAULT_DIAMETER_GRID):
     return 0
 
 
-def _record(oracle):
-    """Make oracle append every gradient it draws to the returned list."""
-    grads, draw = [], oracle.draw
+def _record(oracle, grads):
+    """Make oracle append every gradient it draws to grads."""
+    draw = oracle.draw
 
     def recording_draw(x):
         sample = draw(x)
         grads.append(sample.g)
         return sample
     oracle.draw = recording_draw
-    return grads
 
 
 def cmd_compare(cfg, solver_specs):
@@ -307,12 +353,13 @@ def cmd_compare(cfg, solver_specs):
     obj, jobs = _prepare(cfg, lambda: [(spec, parse_solver(spec, cfg.D))
                                        for spec in solver_specs])
     solves = [solve for _, solve, _ in jobs]
-    usgm, grads = parse_solver("usgm", cfg.D), None
+    usgm, grads, recorded = parse_solver("usgm", cfg.D), None, None
     if usgm in solves and parse_solver("adagrad", cfg.D) in solves:
-        grads = _record(jobs[solves.index(usgm)][2][0])
+        grads, recorded = [], solves.index(usgm)
     traces = [_map_jobs(cfg, obj, solve, oracles, lambda trace: (
-                  [rec.F_value for rec in trace], [rec.H for rec in trace]))
-              for _, solve, oracles in jobs]
+                  [rec.F_value for rec in trace], [rec.H for rec in trace]),
+                  grads if i == recorded else None)
+              for i, (_, solve, oracles) in enumerate(jobs)]
     columns = [np.nanmean(np.asarray([F for F, _ in per_seed]), axis=0)
                for per_seed in traces]
     header = ["k"] + [f"F_{_solver_tag(spec)}" for spec, _, _ in jobs]
@@ -321,7 +368,7 @@ def cmd_compare(cfg, solver_specs):
         coefficient = solvers._adagrad_coefficient(
             obj.metric.b_diag, cfg.D, "grad_diff")
         h_prime = [coefficient(g, g_next) for g, g_next in zip(grads, grads[1:])]
-        H = traces[solves.index(usgm)][0][1]
+        H = traces[recorded][0][1]
         columns.append(np.asarray(h_prime) - np.asarray(H))
         header.append("adagrad_domination")
     _write_csv(os.path.join(cfg.out, "compare.csv"), ",".join(header),

@@ -8,7 +8,7 @@ same seed replaying draws 0..i-1 at the same points first, not from
 (seed, draw_index) alone.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -67,11 +67,15 @@ def _exact_sampler(obj):
     return lambda x: obj.f_eval(x)[1]
 
 
+def _noise_scale(metric, sigma):
+    return sigma * np.sqrt(metric.b_diag / metric.dim)
+
+
 def _gaussian_sampler(obj, sigma, rng):
     if sigma == 0.0:
         return _exact_sampler(obj)
     dim = obj.metric.dim
-    scale = sigma * np.sqrt(obj.metric.b_diag / dim)
+    scale = _noise_scale(obj.metric, sigma)
     normal = rng.standard_normal
     return lambda x: obj.f_eval(x)[1] + scale * normal(dim)
 
@@ -91,6 +95,43 @@ def _minibatch_sampler(obj, cfg, rng):
     integers = rng.integers
     return lambda x: np.add.reduce(obj.row_grad(
         x, integers(0, n_rows, size=batch_size)), axis=0) / batch_size
+
+
+def _lane_sampler(obj, oracles):
+    """X -> the S x n gradients that oracles[s] would draw at X[s], bit for
+    bit, from the objective's _lanes.
+
+    The oracles must be built-in ones on obj, of one configuration apart
+    from the seed.  Each lane draws from its own oracle's generator, so the
+    noise is that of one-seed runs; oracle.calls is left to the caller.
+    """
+    cfg = replace(oracles[0].cfg, seed=0)
+    if obj._lanes is None or any(type(o) is not Oracle or o.obj is not obj
+                                 or replace(o.cfg, seed=0) != cfg
+                                 for o in oracles):
+        raise ValueError("lanes need built-in oracles of one kind on an "
+                         "objective with _lanes")
+    lanes = obj._lanes
+    if oracles[0].is_exact:
+        return lanes.grad
+    if cfg.kind == "gaussian":
+        scale = _noise_scale(obj.metric, cfg.sigma)
+        normals = [o.rng.standard_normal for o in oracles]
+
+        def sample(X):
+            noise = np.empty_like(X)
+            for normal, row in zip(normals, noise):
+                normal(out=row)
+            return lanes.grad(X) + scale * noise
+        return sample
+    n_rows, batch_size = obj.n_rows, cfg.batch_size
+    if cfg.full_batch:
+        rows = np.broadcast_to(np.arange(n_rows), (len(oracles), n_rows))
+        return lambda X: np.add.reduce(lanes.row_grad(X, rows), axis=1) / n_rows
+    draws = [o.rng.integers for o in oracles]
+    return lambda X: np.add.reduce(lanes.row_grad(X, np.array([
+        integers(0, n_rows, size=batch_size) for integers in draws])),
+        axis=1) / batch_size
 
 
 class Oracle:

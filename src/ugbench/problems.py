@@ -13,8 +13,8 @@ solvers pass each subgradient through _gradient.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -84,7 +84,8 @@ class CompositeObjective:
     loss(A x) alone, one product instead of two.
 
     The subgradient must have the shape of x; solvers check that on
-    every evaluation.
+    every evaluation.  The built-in factories also set _lanes, the same
+    formulas over many points at once (see _Lanes).
     """
 
     f_eval: Callable[[np.ndarray], tuple]
@@ -95,6 +96,8 @@ class CompositeObjective:
     row_grad: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     A: Optional[np.ndarray] = None
     loss: Optional[Callable[[np.ndarray], tuple]] = None
+    _lanes: Optional["_Lanes"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def value(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -181,14 +184,16 @@ def least_squares_f(A, b, domain=None, metric=None, label="least-squares"):
         r = z - b
         return 0.5 * float(np.dot(r, r)), r
 
-    def row_grad(x, idx):
-        # full gradient is the uniform mean over rows of m * r_i * a_i
-        rows = A[idx]
-        r = rows @ x - b[idx]
-        return m * r[:, None] * rows
+    def lane_loss(Z):
+        R = Z - b
+        return 0.5 * np.vecdot(R, R), R
 
+    # full gradient is the uniform mean over rows of m * r_i * a_i
+    row_grad, lane_row_grad = _row_gradients(
+        A, lambda z, idx: m * (z - b[idx]))
     return _with_defaults(_lifted(A, loss), domain, metric, n, label, m,
-                          row_grad, A, loss)
+                          row_grad, A, loss,
+                          _lifted_lanes(A, lane_loss, lane_row_grad))
 
 
 def logistic_f(features, labels, domain=None, metric=None, label="logistic"):
@@ -203,19 +208,24 @@ def logistic_f(features, labels, domain=None, metric=None, label="logistic"):
         e = np.exp(-np.abs(z))
         return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def loss(z):
+    def lane_loss(z):
+        # z is one point's A x or one per row
         margins = b * z
-        value = float(np.add.reduce(np.logaddexp(0.0, -margins)))
+        value = np.add.reduce(np.logaddexp(0.0, -margins), axis=-1)
         return value, -b * _sigmoid(-margins)
 
-    def row_grad(x, idx):
-        rows, signs = A[idx], b[idx]
-        margins = signs * (rows @ x)
-        w = -signs * _sigmoid(-margins)
-        return m * w[:, None] * rows
+    def loss(z):
+        value, w = lane_loss(z)
+        return float(value), w
 
+    def row_weights(z, idx):
+        signs = b[idx]
+        return m * (-signs * _sigmoid(-(signs * z)))
+
+    row_grad, lane_row_grad = _row_gradients(A, row_weights)
     return _with_defaults(_lifted(A, loss), domain, metric, n, label, m,
-                          row_grad, A, loss)
+                          row_grad, A, loss,
+                          _lifted_lanes(A, lane_loss, lane_row_grad))
 
 
 def p_power_f(A, b, p, domain=None, metric=None, label=None):
@@ -240,19 +250,31 @@ def p_power_f(A, b, p, domain=None, metric=None, label=None):
         value = float(np.add.reduce(a ** p)) / m
         return value, A.T @ _row_weights(r, a) / m
 
-    def loss(z):
+    def lane_loss(z):
         r = z - b
         a = np.abs(r)
-        return float(np.add.reduce(a ** p)) / m, _row_weights(r, a) / m
+        return np.add.reduce(a ** p, axis=-1) / m, _row_weights(r, a) / m
 
-    def row_grad(x, idx):
-        rows = A[idx]
-        r = rows @ x - b[idx]
-        return _row_weights(r, np.abs(r))[:, None] * rows
+    def loss(z):
+        value, w = lane_loss(z)
+        return float(value), w
 
+    def lane_grad(X):
+        # f_eval's subgradient, which divides after the product
+        R = _stacked(A, X) - b
+        return _stacked(A.T, _row_weights(R, np.abs(R))) / m
+
+    def row_weights(z, idx):
+        r = z - b[idx]
+        return _row_weights(r, np.abs(r))
+
+    row_grad, lane_row_grad = _row_gradients(A, row_weights)
     if label is None:
         label = f"p-power(p={p})"
-    return _with_defaults(f_eval, domain, metric, n, label, m, row_grad, A, loss)
+    lanes = _Lanes(lambda X: lane_loss(_stacked(A, X))[0], lane_grad,
+                   lane_row_grad)
+    return _with_defaults(f_eval, domain, metric, n, label, m, row_grad, A,
+                          loss, lanes)
 
 
 def _check_data(A, b):
@@ -275,15 +297,63 @@ def _lifted(A, loss):
     return f_eval
 
 
-def _with_defaults(f_eval, domain, metric, n, label, n_rows, row_grad, A, loss):
+class _Lanes(NamedTuple):
+    """An objective's formulas at S points at once, the rows of an S x n X.
+
+    Each lane's result is bit for bit what the one-point callable returns
+    at its row: value(X) -> S values of value, grad(X) -> S x n
+    subgradients of f_eval, row_grad(X, IDX) -> S x B x n, whose slice s is
+    row_grad(X[s], IDX[s]).
+    """
+
+    value: Callable
+    grad: Callable
+    row_grad: Callable
+
+
+def _stacked(M, X):
+    """M @ x for each row x of X, with M one matrix or one per row.
+
+    matmul calls gemv once per row, so each lane has the bits of M @ x;
+    the gemm X @ M.T rounds differently.
+    """
+    return np.matmul(M, X[..., None])[..., 0]
+
+
+def _lifted_lanes(A, lane_loss, lane_row_grad):
+    """_Lanes of f(x) = loss(A x); lane_loss maps the rows of Z to
+    (values, weights) as loss maps one z."""
+    A_T = A.T
+    return _Lanes(lambda X: lane_loss(_stacked(A, X))[0],
+                  lambda X: _stacked(A_T, lane_loss(_stacked(A, X))[1]),
+                  lane_row_grad)
+
+
+def _row_gradients(A, weights):
+    """(row_grad, its lane form), where weights(A[idx] @ x, idx) gives each
+    sampled row's factor: row i's gradient is weights_i * a_i."""
+    def row_grad(x, idx):
+        rows = A[idx]
+        return weights(rows @ x, idx)[:, None] * rows
+
+    def lane_row_grad(X, IDX):
+        rows = A[IDX]
+        return weights(_stacked(rows, X), IDX)[..., None] * rows
+    return row_grad, lane_row_grad
+
+
+def _with_defaults(f_eval, domain, metric, n, label, n_rows, row_grad, A, loss,
+                   lanes):
     if metric is None:
         metric = MetricSpace.euclidean(n)
     if domain is None:
         domain = BallDomain(np.zeros(n), 1.0)
-    return CompositeObjective(
+    obj = CompositeObjective(
         f_eval=f_eval, domain=domain, metric=metric, label=label,
         n_rows=n_rows, row_grad=row_grad, A=A, loss=loss,
     )
+    obj._lanes = lanes
+    return obj
 
 
 def sample_in_ball(domain, metric, rng, size=None):

@@ -13,10 +13,13 @@ start point's feasibility included, and hands _run a step that iterates on
 the unchecked kernels, whose outputs stay in the ball.  Per iteration only
 what outside code returns is checked: each subgradient (_gradient),
 AdaGrad's H (_prox_step) and the finiteness of beta and H (balance_update).
+_run_lanes runs several seeds of USGM or AdaGrad as the lanes of one pass,
+each lane bit for bit its one-seed solve.
 """
 
 import math
 import time
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -29,8 +32,8 @@ from .certificate import (  # noqa: F401
     CertificateAccumulator, _fold, _phi_star, certificate_gap,
     certificate_update)
 from .metric import (  # noqa: F401
-    _dual_norm, _norm, _pairing, dual_norm, norm, pairing)
-from .oracles import Oracle, OracleConfig
+    _SQRT_TINY, _dual_norm, _norm, _pairing, dual_norm, norm, pairing)
+from .oracles import Oracle, OracleConfig, _lane_sampler
 from .problems import (  # noqa: F401
     _gradient, _project_ball, _prox_step, _require_in_ball, project_ball,
     prox_step)
@@ -391,3 +394,132 @@ def run_adagrad_norm(obj, oracle=None, D=None, gamma_variant="grad_diff",
         return x, None, H, r, math.nan, math.nan, oracle.calls
 
     return _run(obj, step, x, max_iters, callbacks, trace_every, True)
+
+
+# Lanes: S seeds of run_usgm or run_adagrad_norm in one pass over an S x n
+# state.  Each helper gives every lane the bits of the serial kernel at its
+# row; a lane that takes a rare branch (H = 0, a sum of squares below the
+# normal range, a failed check) goes through the serial kernel itself.
+
+def _lane_norms(b, X, dual=False):
+    """_norm (or _dual_norm) of each row of X."""
+    n = np.sqrt(np.vecdot(X / b if dual else b * X, X))
+    if not np.minimum.reduce(n) >= _SQRT_TINY:
+        kernel = _dual_norm if dual else _norm
+        for i in np.flatnonzero(n < _SQRT_TINY):
+            n[i] = kernel(b, X[i])
+    return n
+
+
+def _lane_prox(C, X, H, domain, metric):
+    """_prox_step(C[s], X[s], H[s]) for each lane s."""
+    if not np.minimum.reduce(H) > 0:
+        return np.array([_prox_step(c, x, h, domain, metric)
+                         for c, x, h in zip(C, X, H.tolist())])
+    center, radius = domain.center, domain.radius
+    Y = X - C / (H[:, None] * metric.b_diag)
+    d = Y - center
+    r = _lane_norms(metric.b_diag, d)
+    r_max = np.maximum.reduce(r)
+    if r_max <= radius:
+        return Y
+    if not r_max < math.inf:  # also nan: _project_ball raises for the lane
+        _project_ball(Y[np.flatnonzero(~(r < math.inf))[0]], domain, metric)
+    # only lanes outside the ball are projected
+    out = r > radius
+    scale = np.divide(radius, r, out=np.ones_like(r), where=out)
+    return np.where(out[:, None], center + scale[:, None] * d, Y)
+
+
+def _lane_balance(H, beta, rho, omega):
+    """balance_update for each lane; raises its error for the first lane
+    whose inputs it rejects."""
+    ok = (rho >= 0) & (H >= 0) & (H < math.inf) & np.isfinite(beta)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        balance_update(float(H[i]), float(beta[i]), float(rho[i]), omega)
+    return H + np.maximum(beta - H * rho, 0.0) / (omega + rho)
+
+
+def _lane_adagrad_coefficient(b, D, gamma_variant, S):
+    """_adagrad_coefficient over S lanes, each with its own sums."""
+    diff = gamma_variant == "grad_diff"
+    sq_sum, scaled_sum = np.zeros(S), np.zeros(S)
+
+    def coefficient(G, G_next):
+        nonlocal sq_sum
+        s = G_next - G if diff else G_next
+        gamma = _lane_norms(b, s, dual=True)
+        sq_sum = sq_sum + gamma * gamma
+        H = np.sqrt(sq_sum) / D
+        for i in np.flatnonzero(~(sq_sum >= _TINY)):
+            gamma_i = _dual_norm(b, s[i] * _SCALE)
+            scaled_sum[i] += gamma_i * gamma_i
+            H[i] = math.sqrt(scaled_sum[i]) / _SCALE / D
+        return H
+    return coefficient
+
+
+def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
+               gamma_variant=None, grads=None):
+    """run_usgm, or run_adagrad_norm if gamma_variant is set, once per
+    oracle, as the lanes of one pass.
+
+    The oracles are built-in ones of one kind on obj (see
+    oracles._lane_sampler).  Each product with A is one gemv per lane and
+    each lane draws from its own oracle's generator, so lane s returns the
+    (x, trace) of the one-seed solve on oracles[s] bit for bit, apart from
+    wall_time_s, which is the pass's clock; a failed check raises the
+    one-seed error of the first lane that fails it.  grads, if a list,
+    receives the gradients lane 0 draws.  The oracles' calls advance as
+    their draws would.  Returns one (x, trace) per oracle.
+    """
+    adagrad = gamma_variant is not None
+    if adagrad and gamma_variant not in ("grad_diff", "grad_norm"):
+        raise ValueError(f"unknown gamma variant {gamma_variant!r}")
+    domain, metric = obj.domain, obj.metric
+    D = _diameter(obj, D)
+    omega = D * D
+    X = np.tile(_start_point(obj, None), (len(oracles), 1))
+    draw = _lane_sampler(obj, oracles)
+    b, value = metric.b_diag, obj._lanes.value
+    G = draw(X)
+    if grads is not None:
+        grads.append(G[0].copy())
+    H = np.zeros(len(oracles))
+    coefficient = (_lane_adagrad_coefficient(b, D, gamma_variant, len(oracles))
+                   if adagrad else None)
+    # per iteration, the lanes' F, H, r and beta; records are built at the end
+    history, times = [], []
+    nans = np.full(len(oracles), math.nan)
+    beta = nans
+    xbar_sum = np.zeros_like(X)
+    t0 = time.monotonic()
+    for k in range(1, max_iters + 1):
+        X_next = _lane_prox(G, X, H, domain, metric)
+        G_next = draw(X_next)
+        if grads is not None:
+            grads.append(G_next[0].copy())
+        d = X_next - X
+        r = _lane_norms(b, d)
+        if adagrad:
+            H = coefficient(G, G_next)
+        else:
+            beta = np.vecdot(G_next - G, d)
+            H = _lane_balance(H, beta, 0.5 * r * r, omega)
+        X, G = X_next, G_next
+        xbar_sum += X
+        traced = k % trace_every == 0 or k == max_iters
+        history.append((value(xbar_sum / k) if traced else nans, H, r, beta))
+        times.append(time.monotonic() - t0)
+    if max_iters > 0:
+        X = xbar_sum / max_iters
+    per_lane = np.reshape(history, (max_iters, 4, len(oracles))).T.tolist()
+    ks = range(1, max_iters + 1)
+    out = []
+    for oracle, x, (F, H, r, beta) in zip(oracles, X, per_lane):
+        calls = range(oracle.calls + 2, oracle.calls + max_iters + 2)
+        out.append((x, list(map(TraceRecord._make, zip(
+            ks, F, H, r, beta, repeat(math.nan), calls, times)))))
+        oracle.calls += max_iters + 1
+    return out

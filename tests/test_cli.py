@@ -43,7 +43,8 @@ BAD_SPECS = [
     for flag, specs in (
         ("--solver", ("bogus", "adagrad:bogus", "sgd:abc", "sgd:-1", "sgd:inf",
                       "sgd:1:bogus", "usfgm:determinstic", "ugm:")),
-        ("--oracle", ("bogus", "gaussian:-1", "minibatch:0")))
+        ("--oracle", ("bogus", "gaussian:-1", "minibatch:0", "minibatch:1.5",
+                      "gaussian:1:2", "minibatch:2:3")))
     for spec in specs
 ] + [
     # sgd sweeps step sizes, every other method sweeps diameters
@@ -143,6 +144,26 @@ class TestBadInputs:
     def test_bad_spec_rejected_before_output(self, tmp_path, command, args):
         out = tmp_path / "out"
         rc = main([command, *SMALL, *args, "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["--solver", "usgm", "--oracle", spec], id=spec)
+        for spec in ("exact:5", "gaussian", "gaussian:", "gaussian:nan",
+                     "gaussian:inf", "minibatch")
+    ] + [
+        pytest.param(["--solver", solver, "--oracle", "gaussian:0.5"],
+                     id=f"{solver}-needs-an-exact-oracle")
+        for solver in ("ugm", "usfgm:deterministic")
+    ] + [
+        pytest.param(["--solver", "usgm", "--oracle", "gaussian:1", *flags],
+                     id="".join(flags))
+        for flags in (["--seeds", "1,1"], ["--seeds", "1,2,1", "--jobs", "2"],
+                      ["--jobs", "0"], ["--jobs", "-3"])
+    ])
+    def test_bad_run_config_rejected_before_output(self, tmp_path, args):
+        out = tmp_path / "out"
+        rc = main(["run", *SMALL, *args, "--out", str(out)])
         assert rc == EXIT_BAD_CONFIG
         assert not out.exists()
 
