@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,7 +47,7 @@ class RunConfig:
     trace_every: int = 1
     out: str = "."
     seeds: tuple = (0,)
-    jobs: int = 1
+    jobs: int = 1                    # accepted; every solve runs in one thread
     b_diag: tuple = None             # default identity metric
 
     def __post_init__(self):
@@ -274,8 +273,9 @@ def _map_jobs(cfg, obj, solve, oracles, reduce=lambda trace: trace,
 
     Several seeds of usgm and adagrad run as the lanes of one pass
     (solvers._run_lanes), which needs what _prepare builds: oracles of one
-    spec on a built-in objective.  Other solves run per seed, over cfg.jobs
-    threads.
+    spec on a built-in objective.  Other solves run seed by seed, all in
+    the calling thread: threads hold the interpreter lock between numpy
+    calls and, at large n, compete for BLAS.
     """
     if solve.entry in _LANE_ENTRIES and len(oracles) > 1:
         return [reduce(trace) for _, trace in solvers._run_lanes(
@@ -283,13 +283,8 @@ def _map_jobs(cfg, obj, solve, oracles, reduce=lambda trace: trace,
             **solve.kwargs)]
     if grads is not None:
         _record(oracles[0], grads)
-
-    def one(oracle):
-        return reduce(solve(obj, oracle, cfg.max_iters, cfg.trace_every)[1])
-    if cfg.jobs <= 1:
-        return [one(oracle) for oracle in oracles]
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(one, oracles))
+    return [reduce(solve(obj, oracle, cfg.max_iters, cfg.trace_every)[1])
+            for oracle in oracles]
 
 
 def cmd_run(cfg):
@@ -360,8 +355,14 @@ def cmd_compare(cfg, solver_specs):
                   [rec.F_value for rec in trace], [rec.H for rec in trace]),
                   grads if i == recorded else None)
               for i, (_, solve, oracles) in enumerate(jobs)]
-    columns = [np.nanmean(np.asarray([F for F, _ in per_seed]), axis=0)
-               for per_seed in traces]
+    columns = []
+    for per_seed in traces:
+        # the mean over seeds, taken where some seed has a value: nanmean
+        # warns on a column of nan
+        F = np.asarray([F for F, _ in per_seed])
+        valued = ~np.isnan(F).all(axis=0)
+        columns.append(np.full(F.shape[1], math.nan))
+        columns[-1][valued] = np.nanmean(F[:, valued], axis=0)
     header = ["k"] + [f"F_{_solver_tag(spec)}" for spec, _, _ in jobs]
     if grads is not None:
         # AdaGrad's coefficient on the gradients USGM drew on the first seed

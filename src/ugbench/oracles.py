@@ -97,41 +97,53 @@ def _minibatch_sampler(obj, cfg, rng):
         x, integers(0, n_rows, size=batch_size)), axis=0) / batch_size
 
 
-def _lane_sampler(obj, oracles):
-    """X -> the S x n gradients that oracles[s] would draw at X[s], bit for
-    bit, from the objective's _lanes.
+class _LaneOracle:
+    """Oracle's draw and calls over lanes: draw(X).g holds the S x n
+    gradients that oracles[s] would draw at X[s], bit for bit, from the
+    objective's _lanes.  grads, if a list, receives lane 0's.
 
     The oracles must be built-in ones on obj, of one configuration apart
     from the seed.  Each lane draws from its own oracle's generator, so the
-    noise is that of one-seed runs; oracle.calls is left to the caller.
+    noise is that of one-seed runs.
     """
-    cfg = replace(oracles[0].cfg, seed=0)
-    if obj._lanes is None or any(type(o) is not Oracle or o.obj is not obj
-                                 or replace(o.cfg, seed=0) != cfg
-                                 for o in oracles):
-        raise ValueError("lanes need built-in oracles of one kind on an "
-                         "objective with _lanes")
-    lanes = obj._lanes
-    if oracles[0].is_exact:
-        return lanes.grad
-    if cfg.kind == "gaussian":
-        scale = _noise_scale(obj.metric, cfg.sigma)
-        normals = [o.rng.standard_normal for o in oracles]
 
-        def sample(X):
-            noise = np.empty_like(X)
-            for normal, row in zip(normals, noise):
-                normal(out=row)
-            return lanes.grad(X) + scale * noise
+    def __init__(self, obj, oracles, grads=None):
+        cfg = replace(oracles[0].cfg, seed=0)
+        if obj._lanes is None or any(type(o) is not Oracle or o.obj is not obj
+                                     or replace(o.cfg, seed=0) != cfg
+                                     for o in oracles):
+            raise ValueError("lanes need built-in oracles of one kind on an "
+                             "objective with _lanes")
+        self.grads, self.calls = grads, 0
+        lanes, n_rows, batch_size = obj._lanes, obj.n_rows, cfg.batch_size
+        if oracles[0].is_exact:
+            self._sample = lanes.grad
+        elif cfg.kind == "gaussian":
+            scale = _noise_scale(obj.metric, cfg.sigma)
+            normals = [o.rng.standard_normal for o in oracles]
+
+            def sample(X):
+                noise = np.empty_like(X)
+                for normal, row in zip(normals, noise):
+                    normal(out=row)
+                return lanes.grad(X) + scale * noise
+            self._sample = sample
+        elif cfg.full_batch:
+            rows = np.broadcast_to(np.arange(n_rows), (len(oracles), n_rows))
+            self._sample = lambda X: np.add.reduce(
+                lanes.row_grad(X, rows), axis=1) / n_rows
+        else:
+            draws = [o.rng.integers for o in oracles]
+            self._sample = lambda X: np.add.reduce(lanes.row_grad(X, np.array([
+                integers(0, n_rows, size=batch_size) for integers in draws])),
+                axis=1) / batch_size
+
+    def draw(self, X):
+        sample = GradientSample(self._sample(X), self.calls)
+        if self.grads is not None:
+            self.grads.append(sample.g[0].copy())
+        self.calls += 1
         return sample
-    n_rows, batch_size = obj.n_rows, cfg.batch_size
-    if cfg.full_batch:
-        rows = np.broadcast_to(np.arange(n_rows), (len(oracles), n_rows))
-        return lambda X: np.add.reduce(lanes.row_grad(X, rows), axis=1) / n_rows
-    draws = [o.rng.integers for o in oracles]
-    return lambda X: np.add.reduce(lanes.row_grad(X, np.array([
-        integers(0, n_rows, size=batch_size) for integers in draws])),
-        axis=1) / batch_size
 
 
 class Oracle:

@@ -13,13 +13,14 @@ start point's feasibility included, and hands _run a step that iterates on
 the unchecked kernels, whose outputs stay in the ball.  Per iteration only
 what outside code returns is checked: each subgradient (_gradient),
 AdaGrad's H (_prox_step) and the finiteness of beta and H (balance_update).
-_run_lanes runs several seeds of USGM or AdaGrad as the lanes of one pass,
-each lane bit for bit its one-seed solve.
+_run_lanes runs several seeds of USGM or AdaGrad as the lanes of one pass
+through _run too: the same step, built on the lane kernels over an S x n
+state, gives each lane the bits of its one-seed solve.
 """
 
 import math
 import time
-from itertools import repeat
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +34,7 @@ from .certificate import (  # noqa: F401
     certificate_update)
 from .metric import (  # noqa: F401
     _SQRT_TINY, _dual_norm, _norm, _pairing, dual_norm, norm, pairing)
-from .oracles import Oracle, OracleConfig, _lane_sampler
+from .oracles import Oracle, OracleConfig, _LaneOracle
 from .problems import (  # noqa: F401
     _gradient, _project_ball, _prox_step, _require_in_ball, project_ball,
     prox_step)
@@ -105,13 +106,27 @@ def _as_oracle(obj, oracle):
     return oracle
 
 
-def _run(obj, step, x, max_iters, callbacks, trace_every, averaged):
+def _kernels(x):
+    """(prox, norm, pairing, balance, adagrad_coefficient, H_0, nan) of a
+    USGM or AdaGrad step over x; nan is what it records for an unmonitored
+    F or beta.  One solve gets the 1-D kernels, an S x n state their lane
+    forms, which one solve avoids: at S = 1 they cost ~2.5x per iteration."""
+    if x.ndim == 1:
+        return (_prox_step, _norm, _pairing, balance_update,
+                _adagrad_coefficient, 0.0, math.nan)
+    S = len(x)
+    return (_lane_prox, _lane_norms, np.vecdot, _lane_balance,
+            partial(_lane_adagrad_coefficient, S=S), np.zeros(S),
+            np.full(S, math.nan))
+
+
+def _run(value, step, x, max_iters, callbacks, trace_every, averaged):
     """Iterate step(k, traced) -> (x_k, F, H, r, beta, gap, calls) and trace.
 
     traced marks every trace_every-th and the last iteration, where F and
-    the gap are monitored (nan elsewhere).  F None asks for F at the average
-    of the x_k if averaged, else at x_k.  Returns (the average if averaged,
-    else the last x_k, or x if max_iters = 0; the trace).
+    the gap are monitored (nan elsewhere).  F None asks for value() at the
+    average of the x_k if averaged, else at x_k.  Returns (the average if
+    averaged, else the last x_k, or x if max_iters = 0; the trace).
     """
     trace = []
     xbar_sum = np.zeros_like(x) if averaged else None
@@ -122,7 +137,7 @@ def _run(obj, step, x, max_iters, callbacks, trace_every, averaged):
         if averaged:
             xbar_sum += x
         if F is None:
-            F = obj.value(xbar_sum / k if averaged else x) if traced else math.nan
+            F = value(xbar_sum / k if averaged else x) if traced else math.nan
         record = TraceRecord(k, F, H, r, beta, gap, calls, time.monotonic() - t0)
         trace.append(record)
         for cb in callbacks:
@@ -169,7 +184,7 @@ def run_ugm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
         x, f_x, g_x = x_next, f_next, g_next
         return x, f_x, H, r, beta, gap, k
 
-    _, trace = _run(obj, step, x, max_iters, callbacks, trace_every, False)
+    _, trace = _run(obj.value, step, x, max_iters, callbacks, trace_every, False)
     return acc.best_x, trace
 
 
@@ -182,26 +197,30 @@ def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     x_{k+1} is fixed.
     """
     oracle = _as_oracle(obj, oracle)
-    domain, metric, draw = obj.domain, obj.metric, oracle.draw
     D = _diameter(obj, D)
-    omega = D * D
     x = _start_point(obj, x0)
-    b, shape = metric.b_diag, x.shape
-    H = 0.0
+    return _run(obj.value, _usgm_step(obj, oracle, D, x), x, max_iters,
+                callbacks, trace_every, True)
+
+
+def _usgm_step(obj, oracle, D, x):
+    """run_usgm's step from x, one vector or S lanes (see _kernels)."""
+    prox, norm, pairing, balance, _, H, nan = _kernels(x)
+    domain, metric, draw = obj.domain, obj.metric, oracle.draw
+    b, shape, omega = metric.b_diag, x.shape, D * D
     g = _gradient(draw(x).g, shape)
 
     def step(k, traced):
         nonlocal x, g, H
-        x_next = _prox_step(g, x, H, domain, metric)
+        x_next = prox(g, x, H, domain, metric)
         g_next = _gradient(draw(x_next).g, shape)
         d = x_next - x
-        r = _norm(b, d)
-        beta_hat = _pairing(g_next - g, d)
-        H = balance_update(H, beta_hat, 0.5 * r * r, omega)
+        r = norm(b, d)
+        beta_hat = pairing(g_next - g, d)
+        H = balance(H, beta_hat, 0.5 * r * r, omega)
         x, g = x_next, g_next
-        return x, None, H, r, beta_hat, math.nan, oracle.calls
-
-    return _run(obj, step, x, max_iters, callbacks, trace_every, True)
+        return x, None if traced else nan, H, r, beta_hat, math.nan, oracle.calls
+    return step
 
 
 def _usfgm_evaluators(obj, oracle, deterministic, shape):
@@ -304,7 +323,7 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
         F = (None if math.isnan(f_next) else f_next) if traced else math.nan
         return x, F, H, r, beta_hat, math.nan, 2 * k
 
-    return _run(obj, step, x, max_iters, callbacks, trace_every, False)
+    return _run(obj.value, step, x, max_iters, callbacks, trace_every, False)
 
 
 def run_projected_subgrad(obj, oracle=None, step_rule=("decaying", 1.0),
@@ -335,7 +354,7 @@ def run_projected_subgrad(obj, oracle=None, step_rule=("decaying", 1.0),
         return (x, None, 1.0 / eta if eta > 0 else math.inf, r, math.nan,
                 math.nan, oracle.calls)
 
-    return _run(obj, step, x, max_iters, callbacks, trace_every, True)
+    return _run(obj.value, step, x, max_iters, callbacks, trace_every, True)
 
 
 _TINY = float(np.finfo(np.float64).tiny)
@@ -347,7 +366,8 @@ def _adagrad_coefficient(b, D, gamma_variant):
 
     gamma is ||g_next - g||_* ("grad_diff") or ||g_next||_* ("grad_norm").
     While the sum of squares is below the normal range, where it loses its
-    digits or is 0, H' comes from a second sum of (2^600 gamma)^2.
+    digits or is 0, H' comes from a second sum of (2^600 gamma)^2.  A nan
+    sum gives a nan H', which the next prox step rejects.
     """
     diff = gamma_variant == "grad_diff"
     sq_sum = scaled_sum = 0.0
@@ -357,11 +377,11 @@ def _adagrad_coefficient(b, D, gamma_variant):
         s = g_next - g if diff else g_next
         gamma = _dual_norm(b, s)
         sq_sum += gamma * gamma
-        if sq_sum >= _TINY:
-            return math.sqrt(sq_sum) / D
-        gamma = _dual_norm(b, s * _SCALE)
-        scaled_sum += gamma * gamma
-        return math.sqrt(scaled_sum) / _SCALE / D
+        if sq_sum < _TINY:
+            gamma = _dual_norm(b, s * _SCALE)
+            scaled_sum += gamma * gamma
+            return math.sqrt(scaled_sum) / _SCALE / D
+        return math.sqrt(sq_sum) / D
     return coefficient
 
 
@@ -373,27 +393,32 @@ def run_adagrad_norm(obj, oracle=None, D=None, gamma_variant="grad_diff",
     is the classical ||g_i||_* (known not to work well for smooth
     constrained problems with a nonzero gradient at the solution).
     """
-    if gamma_variant not in ("grad_diff", "grad_norm"):
-        raise ValueError(f"unknown gamma variant {gamma_variant!r}")
     D = _diameter(obj, D)
     oracle = _as_oracle(obj, oracle)
-    domain, metric, draw = obj.domain, obj.metric, oracle.draw
     x = _start_point(obj, x0)
+    step = _adagrad_step(obj, oracle, D, gamma_variant, x)
+    return _run(obj.value, step, x, max_iters, callbacks, trace_every, True)
+
+
+def _adagrad_step(obj, oracle, D, gamma_variant, x):
+    """run_adagrad_norm's step from x, one vector or S lanes (see _kernels)."""
+    if gamma_variant not in ("grad_diff", "grad_norm"):
+        raise ValueError(f"unknown gamma variant {gamma_variant!r}")
+    prox, norm, _, _, adagrad_coefficient, H, nan = _kernels(x)
+    domain, metric, draw = obj.domain, obj.metric, oracle.draw
     b, shape = metric.b_diag, x.shape
     g = _gradient(draw(x).g, shape)
-    H = 0.0
-    coefficient = _adagrad_coefficient(b, D, gamma_variant)
+    coefficient = adagrad_coefficient(b, D, gamma_variant)
 
     def step(k, traced):
         nonlocal x, g, H
-        x_next = _prox_step(g, x, H, domain, metric)
+        x_next = prox(g, x, H, domain, metric)
         g_next = _gradient(draw(x_next).g, shape)
         H = coefficient(g, g_next)
-        r = _norm(b, x_next - x)
+        r = norm(b, x_next - x)
         x, g = x_next, g_next
-        return x, None, H, r, math.nan, math.nan, oracle.calls
-
-    return _run(obj, step, x, max_iters, callbacks, trace_every, True)
+        return x, None if traced else nan, H, r, nan, math.nan, oracle.calls
+    return step
 
 
 # Lanes: S seeds of run_usgm or run_adagrad_norm in one pass over an S x n
@@ -452,7 +477,7 @@ def _lane_adagrad_coefficient(b, D, gamma_variant, S):
         gamma = _lane_norms(b, s, dual=True)
         sq_sum = sq_sum + gamma * gamma
         H = np.sqrt(sq_sum) / D
-        for i in np.flatnonzero(~(sq_sum >= _TINY)):
+        for i in np.flatnonzero(sq_sum < _TINY):
             gamma_i = _dual_norm(b, s[i] * _SCALE)
             scaled_sum[i] += gamma_i * gamma_i
             H[i] = math.sqrt(scaled_sum[i]) / _SCALE / D
@@ -466,7 +491,7 @@ def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
     oracle, as the lanes of one pass.
 
     The oracles are built-in ones of one kind on obj (see
-    oracles._lane_sampler).  Each product with A is one gemv per lane and
+    oracles._LaneOracle).  Each product with A is one gemv per lane and
     each lane draws from its own oracle's generator, so lane s returns the
     (x, trace) of the one-seed solve on oracles[s] bit for bit, apart from
     wall_time_s, which is the pass's clock; a failed check raises the
@@ -474,52 +499,21 @@ def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
     receives the gradients lane 0 draws.  The oracles' calls advance as
     their draws would.  Returns one (x, trace) per oracle.
     """
-    adagrad = gamma_variant is not None
-    if adagrad and gamma_variant not in ("grad_diff", "grad_norm"):
-        raise ValueError(f"unknown gamma variant {gamma_variant!r}")
-    domain, metric = obj.domain, obj.metric
     D = _diameter(obj, D)
-    omega = D * D
-    X = np.tile(_start_point(obj, None), (len(oracles), 1))
-    draw = _lane_sampler(obj, oracles)
-    b, value = metric.b_diag, obj._lanes.value
-    G = draw(X)
-    if grads is not None:
-        grads.append(G[0].copy())
-    H = np.zeros(len(oracles))
-    coefficient = (_lane_adagrad_coefficient(b, D, gamma_variant, len(oracles))
-                   if adagrad else None)
-    # per iteration, the lanes' F, H, r and beta; records are built at the end
-    history, times = [], []
-    nans = np.full(len(oracles), math.nan)
-    beta = nans
-    xbar_sum = np.zeros_like(X)
-    t0 = time.monotonic()
-    for k in range(1, max_iters + 1):
-        X_next = _lane_prox(G, X, H, domain, metric)
-        G_next = draw(X_next)
-        if grads is not None:
-            grads.append(G_next[0].copy())
-        d = X_next - X
-        r = _lane_norms(b, d)
-        if adagrad:
-            H = coefficient(G, G_next)
-        else:
-            beta = np.vecdot(G_next - G, d)
-            H = _lane_balance(H, beta, 0.5 * r * r, omega)
-        X, G = X_next, G_next
-        xbar_sum += X
-        traced = k % trace_every == 0 or k == max_iters
-        history.append((value(xbar_sum / k) if traced else nans, H, r, beta))
-        times.append(time.monotonic() - t0)
-    if max_iters > 0:
-        X = xbar_sum / max_iters
-    per_lane = np.reshape(history, (max_iters, 4, len(oracles))).T.tolist()
-    ks = range(1, max_iters + 1)
+    S = len(oracles)
+    X = np.tile(_start_point(obj, None), (S, 1))
+    lanes = _LaneOracle(obj, oracles, grads)
+    step = (_usgm_step(obj, lanes, D, X) if gamma_variant is None
+            else _adagrad_step(obj, lanes, D, gamma_variant, X))
+    X, records = _run(obj._lanes.value, step, X, max_iters, (), trace_every,
+                      True)
+    k, F, H, r, beta, gap, calls, t = zip(*records) if records else [()] * 8
+    # per lane, the columns F, H, r and beta
+    per_lane = np.reshape((F, H, r, beta), (4, max_iters, S)).transpose(
+        2, 0, 1).tolist()
     out = []
     for oracle, x, (F, H, r, beta) in zip(oracles, X, per_lane):
-        calls = range(oracle.calls + 2, oracle.calls + max_iters + 2)
         out.append((x, list(map(TraceRecord._make, zip(
-            ks, F, H, r, beta, repeat(math.nan), calls, times)))))
-        oracle.calls += max_iters + 1
+            k, F, H, r, beta, gap, [oracle.calls + c for c in calls], t)))))
+        oracle.calls += lanes.calls
     return out

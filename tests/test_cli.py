@@ -1,9 +1,11 @@
 import csv
 import os
+import threading
 
 import numpy as np
 import pytest
 
+import ugbench.solvers
 from ugbench.cli import (
     DEFAULT_STEP_GRID,
     EXIT_BAD_CONFIG,
@@ -109,6 +111,25 @@ class TestRun:
             rb = read_csv(os.path.join(b, f"trace_usgm_{s}.csv"))
             for r1, r2 in zip(ra, rb):
                 assert r1[:7] == r2[:7]
+
+
+@pytest.mark.parametrize("args, solves", [
+    (["run", "--solver", "sgd:0.1", "--oracle", "minibatch:4"], 3),
+    (["run", "--solver", "usfgm", "--oracle", "gaussian:0.5"], 3),
+    (["sweep", "--solver", "ugm", "--diameters", "2,1"], 6),
+    (["compare", "--solvers", "ugm,usfgm:deterministic,sgd:0.1"], 9),
+])
+def test_jobs_runs_every_solve_in_the_calling_thread(tmp_path, monkeypatch,
+                                                     args, solves):
+    threads = []
+    for entry in ("run_ugm", "run_usfgm", "run_projected_subgrad"):
+        def recording(*a, solve=getattr(ugbench.solvers, entry), **kw):
+            threads.append(threading.get_ident())
+            return solve(*a, **kw)
+        monkeypatch.setattr(ugbench.solvers, entry, recording)
+    assert main([*args, *SMALL, "--seeds", "0,1,2", "--jobs", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert threads == [threading.get_ident()] * solves
 
 
 class TestBadInputs:
@@ -343,6 +364,18 @@ class TestCompare:
         serial = read_csv(tmp_path / "a" / "compare.csv")
         assert serial[0][-1] == "adagrad_domination" and len(serial) == 101
         assert read_csv(tmp_path / "b" / "compare.csv") == serial
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_untraced_rows_are_empty_without_a_warning(self, tmp_path):
+        # every seed's F is nan on an untraced row, where nanmean would warn
+        rc = main(["compare", "--solvers", "usgm,sgd:0.1", "--oracle",
+                   "gaussian:0.5", "--data", "synthetic:20:8:0", "--iters",
+                   "10", "--trace-every", "3", "--seeds", "0,1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        rows = read_csv(tmp_path / "compare.csv")
+        assert [[bool(v) for v in row[1:]] for row in rows[1:]] == [
+            [k % 3 == 0 or k == 10] * 2 for k in range(1, 11)]
 
     def test_single_solver_rejected(self, tmp_path):
         rc = main(["compare", "--solvers", "ugm",

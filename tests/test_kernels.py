@@ -72,6 +72,10 @@ def ball_problem(draw):
     space, (center, direction, c) = draw(space_and_vectors(n_vectors=3))
     radius = draw(st.floats(1e-3, 1e3))
     domain = BallDomain(center, radius)
+    # direction / max |entry| first: the norm of a subnormal direction is
+    # inexact, and radius / norm could overflow and put the anchor at inf
+    peak = np.abs(direction).max()
+    direction = direction / peak if peak > 0 else direction
     length = norm(space, direction)
     scale = draw(st.floats(0.0, 1.0)) * radius / length if length > 0 else 0.0
     anchor = domain.center + scale * direction

@@ -142,6 +142,18 @@ def test_lanes_hand_lane_0_gradients():
     assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, recorded))
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_lanes_share_the_pass_clock(method):
+    obj = make_objective("least-squares", "default")
+    oracles = [Oracle(obj, OracleConfig(kind="gaussian", sigma=1.0, seed=s))
+               for s in range(3)]
+    lanes = _run_lanes(obj, oracles, 50, 7, gamma_variant=METHODS[method])
+    times = [[rec.wall_time_s for rec in trace] for _, trace in lanes]
+    assert len(times[0]) == 50
+    assert times[0] == times[1] == times[2]
+    assert times[0] == sorted(times[0])
+
+
 def test_lanes_reject_mixed_oracles():
     obj = make_objective("least-squares", "default")
     oracles = [Oracle(obj, OracleConfig(kind="gaussian", sigma=s, seed=int(s)))
@@ -165,6 +177,7 @@ class NanDraw:
         return z
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("solver", ["usgm", "adagrad"])
 def test_nan_gradient_in_one_lane_stops_as_one_seed_does(tmp_path, capsys,
                                                          monkeypatch, solver):
