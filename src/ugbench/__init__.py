@@ -12,7 +12,7 @@ from .problems import (
     prox_step,
 )
 from .certificate import CertificateAccumulator, certificate_gap, certificate_update
-from .oracles import GradientSample, Oracle, OracleConfig
+from .oracles import Oracle, OracleConfig
 from .solvers import (
     TraceRecord,
     balance_update,
@@ -30,7 +30,7 @@ __all__ = [
     "BallDomain", "CompositeObjective", "prox_step", "project_ball",
     "least_squares_f", "logistic_f", "p_power_f", "estimate_holder_constant",
     "CertificateAccumulator", "certificate_update", "certificate_gap",
-    "Oracle", "OracleConfig", "GradientSample",
+    "Oracle", "OracleConfig",
     "balance_update", "reg_max_bound", "TraceRecord",
     "run_ugm", "run_usgm", "run_usfgm",
     "run_projected_subgrad", "run_adagrad_norm",

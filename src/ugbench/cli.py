@@ -54,7 +54,8 @@ class RunConfig:
         if not 0.0 < self.radius < math.inf:
             raise ConfigError(
                 f"radius must be positive and finite, got {self.radius}")
-        self.D = _check_diameter(2.0 * self.radius if self.D is None else self.D)
+        self.D = solvers.check_diameter(
+            2.0 * self.radius if self.D is None else self.D)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         # two equal seeds would give two identical solves one trace file
@@ -64,14 +65,6 @@ class RunConfig:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         if self.max_iters < 0 or self.trace_every < 1:
             raise ConfigError("bad iteration counts")
-
-
-def _check_diameter(D):
-    # D*D is the balance equation's Omega: it must neither underflow to
-    # 0 nor be infinite, which would keep H at 0 (a Frank-Wolfe method)
-    if not (D > 0 and 0.0 < D * D < math.inf):
-        raise ConfigError(f"D must be positive with 0 < D*D < inf, got {D}")
-    return D
 
 
 def _fmt(v):
@@ -147,21 +140,19 @@ ORACLE_GRAMMAR = ("exact, gaussian:SIGMA with finite SIGMA >= 0 or "
 
 
 def make_oracle_config(spec, seed):
-    """The one reader of oracle specs; anything outside ORACLE_GRAMMAR
-    raises ConfigError."""
+    """The one reader of oracle specs; anything outside ORACLE_GRAMMAR,
+    such as a value OracleConfig rejects, raises ConfigError."""
     name, *args = spec.split(":")
-    if name == "exact" and not args:
-        return OracleConfig(kind="exact", seed=seed)
-    if len(args) == 1:
-        try:
-            if name == "gaussian" and 0.0 <= float(args[0]) < math.inf:
-                return OracleConfig(kind="gaussian", sigma=float(args[0]),
-                                    seed=seed)
-            if name == "minibatch" and int(args[0]) >= 1:
-                return OracleConfig(kind="minibatch", batch_size=int(args[0]),
-                                    seed=seed)
-        except ValueError:
-            pass
+    try:
+        if name == "exact" and not args:
+            return OracleConfig(kind="exact", seed=seed)
+        if name == "gaussian" and len(args) == 1:
+            return OracleConfig(kind="gaussian", sigma=float(args[0]), seed=seed)
+        if name == "minibatch" and len(args) == 1:
+            return OracleConfig(kind="minibatch", batch_size=int(args[0]),
+                                seed=seed)
+    except ValueError:
+        pass
     raise ConfigError(f"bad oracle {spec!r}; expected {ORACLE_GRAMMAR}")
 
 
@@ -200,7 +191,7 @@ def parse_solver(spec, D):
     """The one reader of solver specs: spec -> solve(obj, oracle, max_iters,
     trace_every) with diameter D.  Anything outside SOLVER_GRAMMAR raises
     ConfigError."""
-    D = _check_diameter(D)
+    D = solvers.check_diameter(D)
     name, *args = spec.split(":")
     if name in ("ugm", "usgm") and not args:
         return Solve("run_" + name, {"D": D})
@@ -216,13 +207,6 @@ def parse_solver(spec, D):
         if rule in ("constant", "decaying"):
             return Solve("run_projected_subgrad", {"step_rule": (rule, step)})
     raise ConfigError(f"bad solver {spec!r}; expected {SOLVER_GRAMMAR}")
-
-
-def run_solver(cfg, obj, seed, solver=None):
-    """Execute one solver run; returns (result_x, trace)."""
-    solve = parse_solver(solver if solver is not None else cfg.solver, cfg.D)
-    return solve(obj, Oracle(obj, make_oracle_config(cfg.oracle, seed)),
-                 cfg.max_iters, cfg.trace_every)
 
 
 def _write_csv(path, header, rows):
@@ -336,9 +320,9 @@ def _record(oracle, grads):
     draw = oracle.draw
 
     def recording_draw(x):
-        sample = draw(x)
-        grads.append(sample.g)
-        return sample
+        g = draw(x)
+        grads.append(g)
+        return g
     oracle.draw = recording_draw
 
 

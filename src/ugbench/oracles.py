@@ -4,19 +4,15 @@ All oracles are unbiased.  Randomness comes from a Philox generator seeded
 by OracleConfig.seed; each solver run owns its own generator, and the
 randomness for a draw is consumed strictly after the query point is fixed.
 The generator is sequential: draw i is reproduced by a new oracle with the
-same seed replaying draws 0..i-1 at the same points first, not from
-(seed, draw_index) alone.
+same seed replaying draws 0..i-1 at the same points first, not from the
+seed and i alone.
 """
 
+import math
+import operator
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
-
-
-class GradientSample(NamedTuple):
-    g: np.ndarray
-    draw_index: int
 
 
 @dataclass(frozen=True)
@@ -28,77 +24,33 @@ class OracleConfig:
     full_batch: bool = False
 
     def __post_init__(self):
+        """The one check of the ranges an oracle can sample from."""
         if self.kind not in ("exact", "gaussian", "minibatch"):
             raise ValueError(f"unknown oracle kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        # written so that nan fails it; a nan or infinite sigma draws
+        # non-finite noise
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        try:
+            batch_size = operator.index(self.batch_size)
+        except TypeError:
+            batch_size = 0
+        if batch_size < 1:
+            raise ValueError(
+                f"batch_size must be an integer >= 1, got {self.batch_size!r}")
 
 
 def make_rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def exact_oracle(obj, x):
-    """Deterministic pass-through to the objective's subgradient."""
-    return obj.subgradient(x)
-
-
-def gaussian_oracle(obj, x, cfg, rng):
-    """Exact subgradient plus Gaussian noise with E||delta||_*^2 = sigma^2.
-
-    Under diagonal B the per-coordinate std is sigma * sqrt(b[i] / dim).
-    """
-    sample = _gaussian_sampler(obj, cfg.sigma, rng)
-    return sample(np.asarray(x, dtype=np.float64))
-
-
-def minibatch_oracle(obj, x, cfg, rng):
-    """Average row gradient over batch_size rows sampled with replacement."""
-    sample = _minibatch_sampler(obj, cfg, rng)
-    return sample(np.asarray(x, dtype=np.float64))
-
-
-# Samplers: x -> gradient sample, with the objective's callables looked up
-# at each call and everything else checked and computed once, when bound.
-
-def _exact_sampler(obj):
-    return lambda x: obj.f_eval(x)[1]
-
-
 def _noise_scale(metric, sigma):
+    """Per-coordinate std of Gaussian noise with E||delta||_*^2 = sigma^2."""
     return sigma * np.sqrt(metric.b_diag / metric.dim)
 
 
-def _gaussian_sampler(obj, sigma, rng):
-    if sigma == 0.0:
-        return _exact_sampler(obj)
-    dim = obj.metric.dim
-    scale = _noise_scale(obj.metric, sigma)
-    normal = rng.standard_normal
-    return lambda x: obj.f_eval(x)[1] + scale * normal(dim)
-
-
-def _minibatch_sampler(obj, cfg, rng):
-    if obj.row_grad is None or obj.n_rows is None:
-        raise ValueError("objective does not decompose into per-row losses")
-    if cfg.batch_size > obj.n_rows:
-        raise ValueError(
-            f"batch_size {cfg.batch_size} exceeds {obj.n_rows} dataset rows"
-        )
-    n_rows, batch_size = obj.n_rows, cfg.batch_size
-    # np.add.reduce(G, axis=0) / B is G.mean(axis=0) without its wrapper
-    if cfg.full_batch:
-        rows = np.arange(n_rows)
-        return lambda x: np.add.reduce(obj.row_grad(x, rows), axis=0) / n_rows
-    integers = rng.integers
-    return lambda x: np.add.reduce(obj.row_grad(
-        x, integers(0, n_rows, size=batch_size)), axis=0) / batch_size
-
-
 class _LaneOracle:
-    """Oracle's draw and calls over lanes: draw(X).g holds the S x n
+    """Oracle's draw and calls over lanes: draw(X) returns the S x n
     gradients that oracles[s] would draw at X[s], bit for bit, from the
     objective's _lanes.  grads, if a list, receives lane 0's.
 
@@ -139,33 +91,52 @@ class _LaneOracle:
                 axis=1) / batch_size
 
     def draw(self, X):
-        sample = GradientSample(self._sample(X), self.calls)
+        G = self._sample(X)
         if self.grads is not None:
-            self.grads.append(sample.g[0].copy())
+            self.grads.append(G[0].copy())
         self.calls += 1
-        return sample
+        return G
 
 
 class Oracle:
-    """Stateful wrapper handing out GradientSamples for one solver run.
+    """Stateful sampler for one solver run: draw(x) returns a gradient
+    sample at x and calls counts the draws made.
 
-    The sampler for cfg.kind is checked and bound once, here; draw takes
-    a float64 vector as the solvers pass it.
+    The sampler for cfg.kind is checked and bound once, here, with the
+    objective's f_eval and row_grad looked up at each draw; draw takes a
+    float64 vector as the solvers pass it.
     """
 
     def __init__(self, obj, cfg=None):
         self.obj = obj
-        self.cfg = cfg if cfg is not None else OracleConfig()
-        kind = self.cfg.kind
+        self.cfg = cfg = cfg if cfg is not None else OracleConfig()
         # the exact oracle never draws, so it seeds no generator
-        self.rng = None if kind == "exact" else make_rng(self.cfg.seed)
+        self.rng = None if cfg.kind == "exact" else make_rng(cfg.seed)
         self.calls = 0
-        if kind == "exact":
-            self._sample = _exact_sampler(obj)
-        elif kind == "gaussian":
-            self._sample = _gaussian_sampler(obj, self.cfg.sigma, self.rng)
+        if self.is_exact:
+            self._sample = lambda x: obj.f_eval(x)[1]
+        elif cfg.kind == "gaussian":
+            dim, normal = obj.metric.dim, self.rng.standard_normal
+            scale = _noise_scale(obj.metric, cfg.sigma)
+            self._sample = lambda x: obj.f_eval(x)[1] + scale * normal(dim)
         else:
-            self._sample = _minibatch_sampler(obj, self.cfg, self.rng)
+            if obj.row_grad is None or obj.n_rows is None:
+                raise ValueError(
+                    "objective does not decompose into per-row losses")
+            n_rows, batch_size = obj.n_rows, cfg.batch_size
+            if batch_size > n_rows:
+                raise ValueError(
+                    f"batch_size {batch_size} exceeds {n_rows} dataset rows")
+            # np.add.reduce(G, axis=0) / B is G.mean(axis=0) without its
+            # wrapper; the rows are drawn with replacement
+            if cfg.full_batch:
+                rows = np.arange(n_rows)
+                self._sample = lambda x: np.add.reduce(
+                    obj.row_grad(x, rows), axis=0) / n_rows
+            else:
+                integers = self.rng.integers
+                self._sample = lambda x: np.add.reduce(obj.row_grad(
+                    x, integers(0, n_rows, size=batch_size)), axis=0) / batch_size
 
     @property
     def is_exact(self):
@@ -174,6 +145,6 @@ class Oracle:
         )
 
     def draw(self, x):
-        sample = GradientSample(self._sample(x), self.calls)
+        g = self._sample(x)
         self.calls += 1
-        return sample
+        return g

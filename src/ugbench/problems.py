@@ -156,6 +156,9 @@ def _prox_step(c, anchor, H, domain, metric):
     k, dn = _scaled_dual_norm(b, c)
     if dn == 0.0:
         return anchor
+    if not dn < math.inf:  # also nan: the vertex would be nan
+        raise ValueError(f"H = 0 prox step needs a direction of finite "
+                         f"dual norm, got {dn}")
     return domain.center - (domain.radius / dn) * ((c / k) / b)
 
 

@@ -12,7 +12,8 @@ running average.  Each run_* validates its inputs once, at entry, the
 start point's feasibility included, and hands _run a step that iterates on
 the unchecked kernels, whose outputs stay in the ball.  Per iteration only
 what outside code returns is checked: each subgradient (_gradient),
-AdaGrad's H (_prox_step) and the finiteness of beta and H (balance_update).
+AdaGrad's H and, at H = 0, the dual norm of the direction (_prox_step) and
+the finiteness of beta and H (balance_update).
 _run_lanes runs several seeds of USGM or AdaGrad as the lanes of one pass
 through _run too: the same step, built on the lane kernels over an S x n
 state, gives each lane the bits of its one-seed solve.
@@ -77,15 +78,18 @@ def reg_max_bound(M, nu, H):
     )
 
 
-def _diameter(obj, D):
-    """D, by default the domain's diameter; must satisfy 0 < D*D < inf."""
-    if D is None:
-        D = obj.domain.diameter_D
+def check_diameter(D):
+    """D if 0 < D*D < inf, else ValueError; the CLI checks its D here too."""
     # D*D can underflow to 0 or overflow, and an infinite D would keep H at
     # 0, turning every method into a Frank-Wolfe step
     if not (D > 0 and 0.0 < D * D < math.inf):
         raise ValueError(f"D must be positive with 0 < D*D < inf, got {D!r}")
     return D
+
+
+def _diameter(obj, D):
+    """D, by default the domain's diameter, through check_diameter."""
+    return check_diameter(obj.domain.diameter_D if D is None else D)
 
 
 def _start_point(obj, x0):
@@ -208,12 +212,12 @@ def _usgm_step(obj, oracle, D, x):
     prox, norm, pairing, balance, _, H, nan = _kernels(x)
     domain, metric, draw = obj.domain, obj.metric, oracle.draw
     b, shape, omega = metric.b_diag, x.shape, D * D
-    g = _gradient(draw(x).g, shape)
+    g = _gradient(draw(x), shape)
 
     def step(k, traced):
         nonlocal x, g, H
         x_next = prox(g, x, H, domain, metric)
-        g_next = _gradient(draw(x_next).g, shape)
+        g_next = _gradient(draw(x_next), shape)
         d = x_next - x
         r = norm(b, d)
         beta_hat = pairing(g_next - g, d)
@@ -243,14 +247,14 @@ def _usfgm_evaluators(obj, oracle, deterministic, shape):
         return None, at_point, at_point
     if deterministic:
         def at_y(z):
-            return obj.value(z), _gradient(oracle.draw(z).g, shape)
+            return obj.value(z), _gradient(oracle.draw(z), shape)
 
         def at_next(z):
             return obj.value(z), None
         return None, at_y, at_next
 
     def at_point(z):
-        return math.nan, _gradient(oracle.draw(z).g, shape)
+        return math.nan, _gradient(oracle.draw(z), shape)
     return None, at_point, at_point
 
 
@@ -346,7 +350,7 @@ def run_projected_subgrad(obj, oracle=None, step_rule=("decaying", 1.0),
 
     def step(k, traced):
         nonlocal x
-        g = _gradient(draw(x).g, shape)
+        g = _gradient(draw(x), shape)
         eta = c if kind == "constant" else c / math.sqrt(k)
         x_next = _project_ball(x - eta * g / b, domain, metric)
         r = _norm(b, x_next - x)
@@ -407,13 +411,13 @@ def _adagrad_step(obj, oracle, D, gamma_variant, x):
     prox, norm, _, _, adagrad_coefficient, H, nan = _kernels(x)
     domain, metric, draw = obj.domain, obj.metric, oracle.draw
     b, shape = metric.b_diag, x.shape
-    g = _gradient(draw(x).g, shape)
+    g = _gradient(draw(x), shape)
     coefficient = adagrad_coefficient(b, D, gamma_variant)
 
     def step(k, traced):
         nonlocal x, g, H
         x_next = prox(g, x, H, domain, metric)
-        g_next = _gradient(draw(x_next).g, shape)
+        g_next = _gradient(draw(x_next), shape)
         H = coefficient(g, g_next)
         r = norm(b, x_next - x)
         x, g = x_next, g_next

@@ -74,9 +74,9 @@ class RecordingOracle:
         return self.inner.is_exact
 
     def draw(self, x):
-        sample = self.inner.draw(x)
-        self.gs.append(np.array(sample.g))
-        return sample
+        g = self.inner.draw(x)
+        self.gs.append(np.array(g))
+        return g
 
 
 class CountingMatrix(np.ndarray):

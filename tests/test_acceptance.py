@@ -255,7 +255,7 @@ def test_criterion_11_oracle_statistics():
 
         sigma = 0.5
         oracle = Oracle(obj, OracleConfig(kind="gaussian", sigma=sigma, seed=7))
-        draws = np.array([oracle.draw(x).g for _ in range(n)])
+        draws = np.array([oracle.draw(x) for _ in range(n)])
         deltas = draws - g_exact
         se = deltas.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(deltas.mean(axis=0)) <= 4.0 * se)
@@ -264,7 +264,7 @@ def test_criterion_11_oracle_statistics():
 
         oracle = Oracle(obj, OracleConfig(kind="minibatch", batch_size=3,
                                           seed=8))
-        draws = np.array([oracle.draw(x).g for _ in range(n)])
+        draws = np.array([oracle.draw(x) for _ in range(n)])
         se = draws.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - g_exact) <= 4.0 * se)
 

@@ -16,9 +16,10 @@ from ugbench.cli import (
     main,
     make_problem,
     parse_config_file,
-    run_solver,
+    parse_solver,
     write_trace,
 )
+from ugbench.oracles import Oracle, OracleConfig
 
 
 def read_csv(path):
@@ -272,7 +273,9 @@ class TestConfigFile:
             traces[name] = [r[:7] for r in read_csv(out / "trace_ugm_0.csv")]
         cfg = RunConfig(solver="ugm", data="synthetic:10:3:0", max_iters=30,
                         b_diag=(1.0, 2.0, 3.0))
-        _, trace = run_solver(cfg, make_problem(cfg, load_dataset(cfg)), 0)
+        obj = make_problem(cfg, load_dataset(cfg))
+        _, trace = parse_solver(cfg.solver, cfg.D)(
+            obj, Oracle(obj, OracleConfig()), cfg.max_iters, cfg.trace_every)
         expected = tmp_path / "expected.csv"
         write_trace(expected, trace)
         assert traces["weighted"] == [r[:7] for r in read_csv(expected)]

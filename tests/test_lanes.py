@@ -133,9 +133,9 @@ def test_lanes_hand_lane_0_gradients():
     draw, recorded = one.draw, []
 
     def recording_draw(x):
-        sample = draw(x)
-        recorded.append(sample.g)
-        return sample
+        g = draw(x)
+        recorded.append(g)
+        return g
     one.draw = recording_draw
     run_usgm(obj, one, max_iters=20)
     assert len(grads) == len(recorded) == 21
@@ -163,17 +163,17 @@ def test_lanes_reject_mixed_oracles():
 
 
 class NanDraw:
-    """A generator whose n-th standard_normal draw has a nan entry."""
+    """A generator whose n-th standard_normal draw has a bad (nan) entry."""
 
-    def __init__(self, rng, n):
-        self.rng, self.n = rng, n
+    def __init__(self, rng, n, bad=math.nan):
+        self.rng, self.n, self.bad = rng, n, bad
         self.integers = rng.integers
 
     def standard_normal(self, size=None, out=None):
         z = self.rng.standard_normal(size, out=out)
         self.n -= 1
         if self.n == 0:
-            z[2] = math.nan
+            z[2] = self.bad
         return z
 
 
@@ -192,6 +192,29 @@ def test_nan_gradient_in_one_lane_stops_as_one_seed_does(tmp_path, capsys,
                  "--out", str(tmp_path / "lanes")]) == 2
     assert capsys.readouterr().err == one
     assert "nan" in one
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_first_gradient_stops_lanes_as_one_seed(monkeypatch,
+                                                           method, bad):
+    # lane 1's first gradient is not finite, and every lane is at H = 0
+    make_rng = ugbench.oracles.make_rng
+    monkeypatch.setattr(ugbench.oracles, "make_rng", lambda seed: (
+        NanDraw(make_rng(seed), 1, bad) if seed == 1 else make_rng(seed)))
+    obj = make_objective("least-squares", "default")
+    cfgs = [OracleConfig(kind="gaussian", sigma=1.0, seed=s) for s in range(3)]
+    variant = METHODS[method]
+    with pytest.raises(ValueError, match="direction of finite dual norm") as one:
+        if variant is None:
+            run_usgm(obj, Oracle(obj, cfgs[1]), max_iters=10)
+        else:
+            run_adagrad_norm(obj, Oracle(obj, cfgs[1]), gamma_variant=variant,
+                             max_iters=10)
+    with pytest.raises(ValueError) as lanes:
+        _run_lanes(obj, [Oracle(obj, cfg) for cfg in cfgs], 10, 1,
+                   gamma_variant=variant)
+    assert str(lanes.value) == str(one.value)
 
 
 def read_outputs(out):

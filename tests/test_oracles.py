@@ -1,15 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+import ugbench
 from ugbench.metric import dual_norm
-from ugbench.oracles import (
-    Oracle,
-    OracleConfig,
-    exact_oracle,
-    gaussian_oracle,
-    make_rng,
-    minibatch_oracle,
-)
+from ugbench.oracles import Oracle, OracleConfig
 from ugbench.problems import least_squares_f
 
 
@@ -24,12 +20,13 @@ def ls_problem():
 
 def test_exact_oracle_passthrough(ls_problem):
     obj, x_star = ls_problem
+    oracle = Oracle(obj)
     x = np.full(5, 0.1)
-    g1 = exact_oracle(obj, x)
-    g2 = exact_oracle(obj, x)
+    g1 = oracle.draw(x)
+    g2 = oracle.draw(x)
     np.testing.assert_array_equal(g1, g2)
     np.testing.assert_array_equal(g1, obj.subgradient(x))
-    np.testing.assert_allclose(exact_oracle(obj, x_star), np.zeros(5), atol=1e-12)
+    np.testing.assert_allclose(oracle.draw(x_star), np.zeros(5), atol=1e-12)
 
 
 def test_gaussian_sigma_zero_is_exact(ls_problem):
@@ -37,7 +34,7 @@ def test_gaussian_sigma_zero_is_exact(ls_problem):
     cfg = OracleConfig(kind="gaussian", sigma=0.0, seed=1)
     x = np.full(5, 0.2)
     np.testing.assert_array_equal(
-        gaussian_oracle(obj, x, cfg, make_rng(1)), exact_oracle(obj, x)
+        Oracle(obj, cfg).draw(x), Oracle(obj).draw(x)
     )
 
 
@@ -45,8 +42,8 @@ def test_gaussian_reproducible_given_seed(ls_problem):
     obj, _ = ls_problem
     cfg = OracleConfig(kind="gaussian", sigma=0.7, seed=9)
     x = np.full(5, 0.2)
-    g1 = gaussian_oracle(obj, x, cfg, make_rng(cfg.seed))
-    g2 = gaussian_oracle(obj, x, cfg, make_rng(cfg.seed))
+    g1 = Oracle(obj, cfg).draw(x)
+    g2 = Oracle(obj, cfg).draw(x)
     np.testing.assert_array_equal(g1, g2)
 
 
@@ -54,11 +51,11 @@ def test_gaussian_unbiased_and_variance(ls_problem):
     obj, _ = ls_problem
     sigma = 0.5
     cfg = OracleConfig(kind="gaussian", sigma=sigma, seed=3)
-    rng = make_rng(cfg.seed)
+    oracle = Oracle(obj, cfg)
     x = np.full(5, 0.3)
-    g_exact = exact_oracle(obj, x)
+    g_exact = Oracle(obj).draw(x)
     n = 20000
-    draws = np.array([gaussian_oracle(obj, x, cfg, rng) for _ in range(n)])
+    draws = np.array([oracle.draw(x) for _ in range(n)])
     deltas = draws - g_exact
     se = deltas.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(deltas.mean(axis=0)) <= 4.0 * se)
@@ -72,8 +69,7 @@ def test_minibatch_full_batch_is_exact(ls_problem):
                        full_batch=True)
     x = np.full(5, 0.15)
     np.testing.assert_allclose(
-        minibatch_oracle(obj, x, cfg, make_rng(0)), exact_oracle(obj, x),
-        rtol=1e-12,
+        Oracle(obj, cfg).draw(x), Oracle(obj).draw(x), rtol=1e-12,
     )
 
 
@@ -82,21 +78,21 @@ def test_minibatch_single_row_dataset():
     obj = least_squares_f(A, np.array([0.5]))
     cfg = OracleConfig(kind="minibatch", batch_size=1, seed=0)
     x = np.array([0.3, -0.1])
-    rng = make_rng(0)
+    oracle = Oracle(obj, cfg)
     for _ in range(10):
         np.testing.assert_allclose(
-            minibatch_oracle(obj, x, cfg, rng), exact_oracle(obj, x), rtol=1e-12
+            oracle.draw(x), Oracle(obj).draw(x), rtol=1e-12
         )
 
 
 def test_minibatch_unbiased(ls_problem):
     obj, _ = ls_problem
     cfg = OracleConfig(kind="minibatch", batch_size=3, seed=17)
-    rng = make_rng(cfg.seed)
+    oracle = Oracle(obj, cfg)
     x = np.full(5, 0.25)
-    g_exact = exact_oracle(obj, x)
+    g_exact = Oracle(obj).draw(x)
     n = 20000
-    draws = np.array([minibatch_oracle(obj, x, cfg, rng) for _ in range(n)])
+    draws = np.array([oracle.draw(x) for _ in range(n)])
     se = draws.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(draws.mean(axis=0) - g_exact) <= 4.0 * se)
 
@@ -105,15 +101,19 @@ def test_minibatch_oversized_batch_rejected(ls_problem):
     obj, _ = ls_problem
     cfg = OracleConfig(kind="minibatch", batch_size=obj.n_rows + 1, seed=0)
     with pytest.raises(ValueError):
-        minibatch_oracle(obj, np.zeros(5), cfg, make_rng(0))
+        Oracle(obj, cfg)
 
 
-def test_oracle_wrapper_draw_index_strictly_increasing(ls_problem):
+def test_oracle_calls_count_each_draw(ls_problem):
     obj, _ = ls_problem
     oracle = Oracle(obj, OracleConfig(kind="gaussian", sigma=0.3, seed=5))
     x = np.zeros(5)
-    indices = [oracle.draw(x).draw_index for _ in range(20)]
-    assert indices == list(range(20))
+    for i in range(20):
+        oracle.draw(x)
+        assert oracle.calls == i + 1
+    # a draw that fails is not counted
+    with pytest.raises(ValueError):
+        oracle.draw(np.zeros(4))
     assert oracle.calls == 20
 
 
@@ -124,3 +124,21 @@ def test_oracle_config_validation():
         OracleConfig(kind="gaussian", sigma=-1.0)
     with pytest.raises(ValueError):
         OracleConfig(kind="minibatch", batch_size=0)
+    # what no draw can sample is rejected when the config is built
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OracleConfig(kind="gaussian", sigma=sigma)
+    for batch_size in (1.5, 2.0, "2"):
+        with pytest.raises(ValueError):
+            OracleConfig(kind="minibatch", batch_size=batch_size)
+
+
+def test_package_exports_resolve():
+    # a stale name in __all__ would only fail a star import
+    assert all(hasattr(ugbench, name) for name in ugbench.__all__)
+    assert len(set(ugbench.__all__)) == len(ugbench.__all__)
+    # draw returns the gradient array; the sample wrapper is gone
+    assert "GradientSample" not in ugbench.__all__
+    assert not hasattr(ugbench, "GradientSample")
+    assert isinstance(Oracle(least_squares_f(np.eye(2), np.ones(2))).draw(
+        np.zeros(2)), np.ndarray)

@@ -16,7 +16,7 @@ import pytest
 
 from ugbench.certificate import CertificateAccumulator, certificate_gap, certificate_update
 from ugbench.metric import DimensionMismatchError, MetricSpace, dual_norm, norm, pairing
-from ugbench.oracles import GradientSample, Oracle, OracleConfig
+from ugbench.oracles import Oracle, OracleConfig
 from ugbench.problems import (
     BallDomain,
     CompositeObjective,
@@ -74,12 +74,12 @@ def ref_usgm(obj, oracle, D, x0, max_iters):
     domain, metric = obj.domain, obj.metric
     x = np.array(x0, dtype=np.float64)
     H = 0.0
-    g = oracle.draw(x).g
+    g = oracle.draw(x)
     xbar_sum = np.zeros_like(x)
     rows = []
     for k in range(1, max_iters + 1):
         x_next = prox_step(g, x, H, domain, metric)
-        g_next = oracle.draw(x_next).g
+        g_next = oracle.draw(x_next)
         r = norm(metric, x_next - x)
         beta = pairing(g_next - g, x_next - x)
         H = balance_update(H, beta, 0.5 * r * r, D * D)
@@ -95,12 +95,12 @@ def ref_adagrad(obj, oracle, D, x0, max_iters):
     x = np.array(x0, dtype=np.float64)
     H = 0.0
     gamma_sq_sum = 0.0
-    g = oracle.draw(x).g
+    g = oracle.draw(x)
     xbar_sum = np.zeros_like(x)
     rows = []
     for k in range(1, max_iters + 1):
         x_next = prox_step(g, x, H, domain, metric)
-        g_next = oracle.draw(x_next).g
+        g_next = oracle.draw(x_next)
         gamma = dual_norm(metric, g_next - g)
         gamma_sq_sum += gamma * gamma
         H = math.sqrt(gamma_sq_sum) / D
@@ -145,7 +145,7 @@ def ref_sgd(obj, oracle, rule, c, x0, max_iters):
     xbar_sum = np.zeros_like(x)
     rows = []
     for k in range(1, max_iters + 1):
-        g = oracle.draw(x).g
+        g = oracle.draw(x)
         step = c if rule == "constant" else c / math.sqrt(k)
         x_next = project_ball(x - step * g / metric.b_diag, domain, metric)
         r = norm(metric, x_next - x)
@@ -337,9 +337,3 @@ def test_records_are_immutable(ls_problem):
     for field in TraceRecord._fields:
         with pytest.raises(AttributeError):
             setattr(rec, field, 0.0)
-    sample = Oracle(obj).draw(x0)
-    assert isinstance(sample, GradientSample)
-    with pytest.raises(AttributeError):
-        sample.g = np.zeros(3)
-    with pytest.raises(AttributeError):
-        sample.draw_index = 7

@@ -420,6 +420,27 @@ def test_bad_diameter_rejected_at_entry(ls_instance, run, D):
         run(ls_instance, D=D, max_iters=0)
 
 
+PROX_RUNS = {"ugm": run_ugm, "usgm": run_usgm, "usfgm": run_usfgm,
+             "adagrad": run_adagrad_norm}
+
+
+@pytest.mark.parametrize("name, bad", [
+    *((name, math.nan) for name in PROX_RUNS),
+    # ugm's certificate pairs an infinite gradient with 0 first, which warns
+    *((name, math.inf) for name in PROX_RUNS if name != "ugm"),
+])
+def test_non_finite_gradient_stops_the_h0_prox(ls_instance, name, bad):
+    # H = 0 on the first step: the prox would return a nan vertex, and the
+    # run would fail only one step later, in balance_update
+    def f_eval(x):
+        f, g = ls_instance.f_eval(x)
+        return f, np.append(bad, g[1:])
+    user = CompositeObjective(f_eval=f_eval, domain=ls_instance.domain,
+                              metric=ls_instance.metric)
+    with pytest.raises(ValueError, match="direction of finite dual norm"):
+        PROX_RUNS[name](user, max_iters=10)
+
+
 @pytest.mark.parametrize("run", [
     run_ugm, run_usgm, run_usfgm, run_projected_subgrad, run_adagrad_norm,
 ], ids=["ugm", "usgm", "usfgm", "sgd", "adagrad"])
