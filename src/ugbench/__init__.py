@@ -23,7 +23,7 @@ from .solvers import (
     run_usfgm,
     run_usgm,
 )
-from .dataio import Dataset, parse_libsvm, serialize_libsvm, synth_least_squares, synth_p_power
+from .dataio import Dataset, parse_libsvm, serialize_libsvm, synth_least_squares
 
 __all__ = [
     "MetricSpace", "norm", "dual_norm", "pairing",
@@ -35,7 +35,7 @@ __all__ = [
     "run_ugm", "run_usgm", "run_usfgm",
     "run_projected_subgrad", "run_adagrad_norm",
     "Dataset", "parse_libsvm", "serialize_libsvm",
-    "synth_least_squares", "synth_p_power",
+    "synth_least_squares",
 ]
 
 __version__ = "0.1.0"

@@ -96,10 +96,7 @@ def load_dataset(cfg):
             raise ConfigError(f"bad synthetic data spec {spec!r}")
         m, n = int(parts[0]), int(parts[1])
         data_seed = int(parts[2]) if len(parts) == 3 else 0
-        if cfg.problem.startswith("ppower"):
-            ds, _ = dataio.synth_p_power(m, n, _ppower_exponent(cfg), data_seed)
-        else:
-            ds, _ = dataio.synth_least_squares(m, n, data_seed)
+        ds, _ = dataio.synth_least_squares(m, n, data_seed)
         if cfg.problem == "logistic":
             ds = dataio.Dataset(
                 features=ds.features,

@@ -140,14 +140,3 @@ def synth_least_squares(m, n, seed):
     b = A @ x_star
     ds = Dataset(features=A, labels=b, source=f"synthetic:ls:{m}x{n}:{seed}")
     return ds, x_star
-
-
-def synth_p_power(m, n, p, seed):
-    """Same data recipe as synth_least_squares; p only tags the source."""
-    if not 1.0 <= p <= 2.0:
-        raise ValueError(f"p must lie in [1, 2], got {p}")
-    ds, x_star = synth_least_squares(m, n, seed)
-    return Dataset(
-        features=ds.features, labels=ds.labels,
-        source=f"synthetic:ppower(p={p}):{m}x{n}:{seed}",
-    ), x_star

@@ -97,9 +97,12 @@ def _dual_norm(b, s):
 
 def _scaled_dual_norm(b, s):
     """(k, n) with ||s||_* = k * n and n = ||s / k||_*, where k is 1, or
-    max|s_i| if the sum of squares of s underflows."""
-    n = math.sqrt((s / b).dot(s))
-    if n < _SQRT_TINY and np.count_nonzero(s):
+    max|s_i| if the sum of squares of s underflows, or overflows while
+    every s_i is finite."""
+    with np.errstate(over="ignore"):
+        n = math.sqrt((s / b).dot(s))
+    if (n < _SQRT_TINY and np.count_nonzero(s)) or (
+            n == math.inf and np.isfinite(s).all()):
         k = np.abs(s).max()
         s = s / k
         return k, math.sqrt((s / b).dot(s))

@@ -1,8 +1,10 @@
 """Stochastic gradient oracles: exact, additive Gaussian, mini-batch.
 
-All oracles are unbiased.  Randomness comes from a Philox generator seeded
-by OracleConfig.seed; each solver run owns its own generator, and the
-randomness for a draw is consumed strictly after the query point is fixed.
+All oracles are unbiased.  The exact oracle returns the full gradient; a
+mini-batch averages batch_size rows drawn with replacement.  Randomness
+comes from a Philox generator seeded by OracleConfig.seed; each solver run
+owns its own generator, and the randomness for a draw is consumed strictly
+after the query point is fixed.
 The generator is sequential: draw i is reproduced by a new oracle with the
 same seed replaying draws 0..i-1 at the same points first, not from the
 seed and i alone.
@@ -21,7 +23,6 @@ class OracleConfig:
     sigma: float = 0.0
     batch_size: int = 1
     seed: int = 0
-    full_batch: bool = False
 
     def __post_init__(self):
         """The one check of the ranges an oracle can sample from."""
@@ -80,10 +81,6 @@ class _LaneOracle:
                     normal(out=row)
                 return lanes.grad(X) + scale * noise
             self._sample = sample
-        elif cfg.full_batch:
-            rows = np.broadcast_to(np.arange(n_rows), (len(oracles), n_rows))
-            self._sample = lambda X: np.add.reduce(
-                lanes.row_grad(X, rows), axis=1) / n_rows
         else:
             draws = [o.rng.integers for o in oracles]
             self._sample = lambda X: np.add.reduce(lanes.row_grad(X, np.array([
@@ -129,14 +126,9 @@ class Oracle:
                     f"batch_size {batch_size} exceeds {n_rows} dataset rows")
             # np.add.reduce(G, axis=0) / B is G.mean(axis=0) without its
             # wrapper; the rows are drawn with replacement
-            if cfg.full_batch:
-                rows = np.arange(n_rows)
-                self._sample = lambda x: np.add.reduce(
-                    obj.row_grad(x, rows), axis=0) / n_rows
-            else:
-                integers = self.rng.integers
-                self._sample = lambda x: np.add.reduce(obj.row_grad(
-                    x, integers(0, n_rows, size=batch_size)), axis=0) / batch_size
+            integers = self.rng.integers
+            self._sample = lambda x: np.add.reduce(obj.row_grad(
+                x, integers(0, n_rows, size=batch_size)), axis=0) / batch_size
 
     @property
     def is_exact(self):

@@ -14,7 +14,8 @@ the unchecked kernels, whose outputs stay in the ball.  Per iteration only
 what outside code returns is checked: each subgradient (_gradient),
 AdaGrad's H and, at H = 0, the dual norm of the direction (_prox_step) and
 the finiteness of beta and H (balance_update).
-_run_lanes runs several seeds of USGM or AdaGrad as the lanes of one pass
+USGM and AdaGrad share one step, _stochastic_step, which differs only in
+the next H.  _run_lanes runs seeds of either as the lanes of one pass
 through _run too: the same step, built on the lane kernels over an S x n
 state, gives each lane the bits of its one-seed solve.
 """
@@ -111,8 +112,8 @@ def _as_oracle(obj, oracle):
 
 
 def _kernels(x):
-    """(prox, norm, pairing, balance, adagrad_coefficient, H_0, nan) of a
-    USGM or AdaGrad step over x; nan is what it records for an unmonitored
+    """(prox, norm, pairing, balance, adagrad_coefficient, H_0, nan) of
+    _stochastic_step over x; nan is what it records for an unmonitored
     F or beta.  One solve gets the 1-D kernels, an S x n state their lane
     forms, which one solve avoids: at S = 1 they cost ~2.5x per iteration."""
     if x.ndim == 1:
@@ -174,8 +175,9 @@ def run_ugm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
 
     def step(k, traced):
         nonlocal x, f_x, g_x, H
-        _fold(acc, x, g_x, f_x)
+        # the prox first: it rejects an infinite g_x, on which _fold warns
         x_next = _prox_step(g_x, x, H, domain, metric)
+        _fold(acc, x, g_x, f_x)
         d = x_next - x
         r = _norm(b, d)
         f_next, g_next = f_eval(x_next)
@@ -203,15 +205,21 @@ def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     oracle = _as_oracle(obj, oracle)
     D = _diameter(obj, D)
     x = _start_point(obj, x0)
-    return _run(obj.value, _usgm_step(obj, oracle, D, x), x, max_iters,
+    return _run(obj.value, _stochastic_step(obj, oracle, D, x), x, max_iters,
                 callbacks, trace_every, True)
 
 
-def _usgm_step(obj, oracle, D, x):
-    """run_usgm's step from x, one vector or S lanes (see _kernels)."""
-    prox, norm, pairing, balance, _, H, nan = _kernels(x)
+def _stochastic_step(obj, oracle, D, x, gamma_variant=None):
+    """run_usgm's step from x, or run_adagrad_norm's if gamma_variant is
+    set, over one vector or S lanes (see _kernels).  Only the rule for the
+    next H differs, and it is fixed here, not chosen per iteration."""
+    if gamma_variant not in (None, "grad_diff", "grad_norm"):
+        raise ValueError(f"unknown gamma variant {gamma_variant!r}")
+    prox, norm, pairing, balance, adagrad_coefficient, H, nan = _kernels(x)
     domain, metric, draw = obj.domain, obj.metric, oracle.draw
     b, shape, omega = metric.b_diag, x.shape, D * D
+    usgm = gamma_variant is None
+    coefficient = None if usgm else adagrad_coefficient(b, D, gamma_variant)
     g = _gradient(draw(x), shape)
 
     def step(k, traced):
@@ -220,10 +228,13 @@ def _usgm_step(obj, oracle, D, x):
         g_next = _gradient(draw(x_next), shape)
         d = x_next - x
         r = norm(b, d)
-        beta_hat = pairing(g_next - g, d)
-        H = balance(H, beta_hat, 0.5 * r * r, omega)
+        if usgm:
+            beta = pairing(g_next - g, d)
+            H = balance(H, beta, 0.5 * r * r, omega)
+        else:
+            beta, H = nan, coefficient(g, g_next)
         x, g = x_next, g_next
-        return x, None if traced else nan, H, r, beta_hat, math.nan, oracle.calls
+        return x, None if traced else nan, H, r, beta, math.nan, oracle.calls
     return step
 
 
@@ -400,29 +411,10 @@ def run_adagrad_norm(obj, oracle=None, D=None, gamma_variant="grad_diff",
     D = _diameter(obj, D)
     oracle = _as_oracle(obj, oracle)
     x = _start_point(obj, x0)
-    step = _adagrad_step(obj, oracle, D, gamma_variant, x)
+    if gamma_variant is None:  # the step would take USGM's rule
+        raise ValueError("unknown gamma variant None")
+    step = _stochastic_step(obj, oracle, D, x, gamma_variant)
     return _run(obj.value, step, x, max_iters, callbacks, trace_every, True)
-
-
-def _adagrad_step(obj, oracle, D, gamma_variant, x):
-    """run_adagrad_norm's step from x, one vector or S lanes (see _kernels)."""
-    if gamma_variant not in ("grad_diff", "grad_norm"):
-        raise ValueError(f"unknown gamma variant {gamma_variant!r}")
-    prox, norm, _, _, adagrad_coefficient, H, nan = _kernels(x)
-    domain, metric, draw = obj.domain, obj.metric, oracle.draw
-    b, shape = metric.b_diag, x.shape
-    g = _gradient(draw(x), shape)
-    coefficient = adagrad_coefficient(b, D, gamma_variant)
-
-    def step(k, traced):
-        nonlocal x, g, H
-        x_next = prox(g, x, H, domain, metric)
-        g_next = _gradient(draw(x_next), shape)
-        H = coefficient(g, g_next)
-        r = norm(b, x_next - x)
-        x, g = x_next, g_next
-        return x, None if traced else nan, H, r, nan, math.nan, oracle.calls
-    return step
 
 
 # Lanes: S seeds of run_usgm or run_adagrad_norm in one pass over an S x n
@@ -507,8 +499,7 @@ def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
     S = len(oracles)
     X = np.tile(_start_point(obj, None), (S, 1))
     lanes = _LaneOracle(obj, oracles, grads)
-    step = (_usgm_step(obj, lanes, D, X) if gamma_variant is None
-            else _adagrad_step(obj, lanes, D, gamma_variant, X))
+    step = _stochastic_step(obj, lanes, D, X, gamma_variant)
     X, records = _run(obj._lanes.value, step, X, max_iters, (), trace_every,
                       True)
     k, F, H, r, beta, gap, calls, t = zip(*records) if records else [()] * 8

@@ -19,7 +19,10 @@ from ugbench.cli import (
     parse_solver,
     write_trace,
 )
+from ugbench.dataio import synth_least_squares
 from ugbench.oracles import Oracle, OracleConfig
+from ugbench.problems import p_power_f
+from ugbench.solvers import run_ugm
 
 
 def read_csv(path):
@@ -94,6 +97,18 @@ class TestRun:
             outs.append(read_csv(os.path.join(out, "trace_usfgm_5.csv")))
         for r1, r2 in zip(*outs):
             assert r1[:7] == r2[:7]  # everything except wall_time_s
+
+    def test_ppower_runs_the_library_solve(self, tmp_path):
+        rc = main(["run", "--problem", "ppower:1.5", "--solver", "ugm",
+                   *SMALL, "--data", "synthetic:20:8:3", "--out", str(tmp_path)])
+        assert rc == 0
+        ds, _ = synth_least_squares(20, 8, 3)
+        _, trace = run_ugm(p_power_f(ds.features, ds.labels, 1.5),
+                           max_iters=200)
+        expected = tmp_path / "expected.csv"
+        write_trace(expected, trace)
+        assert ([r[:7] for r in read_csv(tmp_path / "trace_ugm_0.csv")]
+                == [r[:7] for r in read_csv(expected)])
 
     def test_solver_tag_escapes_separators(self, tmp_path):
         out = str(tmp_path)

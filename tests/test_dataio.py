@@ -6,7 +6,6 @@ from ugbench.dataio import (
     parse_libsvm,
     serialize_libsvm,
     synth_least_squares,
-    synth_p_power,
 )
 
 
@@ -117,18 +116,6 @@ class TestSynthetic:
         np.testing.assert_array_equal(xa, xb)
         c, _ = synth_least_squares(6, 3, seed=12)
         assert not np.array_equal(a.features, c.features)
-
-    def test_p_power_shares_data_recipe(self):
-        ls, x_ls = synth_least_squares(7, 3, seed=5)
-        pp, x_pp = synth_p_power(7, 3, 1.5, seed=5)
-        np.testing.assert_array_equal(ls.features, pp.features)
-        np.testing.assert_array_equal(ls.labels, pp.labels)
-        np.testing.assert_array_equal(x_ls, x_pp)
-        assert pp.source == "synthetic:ppower(p=1.5):7x3:5"
-
-    def test_p_power_range_check(self):
-        with pytest.raises(ValueError):
-            synth_p_power(5, 2, 2.5, seed=0)
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):

@@ -277,19 +277,18 @@ def test_logistic_kernels_match_masked_sigmoid(data, signs):
 
 
 @SETTINGS
-@given(loss_data(), st.integers(1, 8), st.integers(0, 2**32), st.booleans())
-def test_minibatch_mean_matches_mean(data, batch_size, seed, full_batch):
+@given(loss_data(), st.integers(1, 8), st.integers(0, 2**32))
+def test_minibatch_mean_matches_mean(data, batch_size, seed):
     A, b, _, x, _ = data
     m = len(b)
     obj = least_squares_f(A, b)
     cfg = OracleConfig(kind="minibatch", batch_size=min(batch_size, m),
-                       seed=seed, full_batch=full_batch)
+                       seed=seed)
     oracle = Oracle(obj, cfg)
     rng = make_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(3):
-            rows = (np.arange(m) if full_batch
-                    else rng.integers(0, m, size=cfg.batch_size))
+            rows = rng.integers(0, m, size=cfg.batch_size)
             assert same_bits(oracle.draw(x),
                              obj.row_grad(x, rows).mean(axis=0))
 

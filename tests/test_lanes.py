@@ -29,7 +29,9 @@ ORACLES = {
     "gaussian-1": dict(kind="gaussian", sigma=1.0),
     "minibatch-1": dict(kind="minibatch", batch_size=1),
     "minibatch-8": dict(kind="minibatch", batch_size=8),
-    "full-batch": dict(kind="minibatch", full_batch=True),
+    # a batch as large as the dataset (make_objective's 24 rows), drawn
+    # with replacement like any other
+    "full-batch": dict(kind="minibatch", batch_size=24),
 }
 # gamma_variant of _run_lanes; None is USGM
 METHODS = {"usgm": None, "adagrad-grad_diff": "grad_diff",

@@ -63,16 +63,6 @@ def test_gaussian_unbiased_and_variance(ls_problem):
     assert sq.mean() == pytest.approx(sigma**2, rel=0.05)
 
 
-def test_minibatch_full_batch_is_exact(ls_problem):
-    obj, _ = ls_problem
-    cfg = OracleConfig(kind="minibatch", batch_size=obj.n_rows, seed=0,
-                       full_batch=True)
-    x = np.full(5, 0.15)
-    np.testing.assert_allclose(
-        Oracle(obj, cfg).draw(x), Oracle(obj).draw(x), rtol=1e-12,
-    )
-
-
 def test_minibatch_single_row_dataset():
     A = np.array([[1.0, 2.0]])
     obj = least_squares_f(A, np.array([0.5]))

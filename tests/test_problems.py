@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,19 @@ class TestProxStep:
         domain, metric = unit_ball_2d
         x = prox_step([tiny, 0.0], [0.5, 0.0], 0.0, domain, metric)
         np.testing.assert_array_equal(x, [-1.0, 0.0])
+
+    @pytest.mark.parametrize("huge", [1e155, 1e200, 1.7e308])
+    def test_h_zero_vertex_for_huge_gradient(self, unit_ball_2d, huge):
+        # ||c||_* used to overflow to inf, and the prox raised
+        domain, metric = unit_ball_2d
+        x = prox_step([huge, 0.0], [0.0, 0.0], 0.0, domain, metric)
+        np.testing.assert_array_equal(x, [-1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_h_zero_rejects_non_finite_gradient(self, unit_ball_2d, bad):
+        domain, metric = unit_ball_2d
+        with pytest.raises(ValueError, match="direction of finite dual norm"):
+            prox_step([bad, 1e200], [0.0, 0.0], 0.0, domain, metric)
 
     def test_infeasible_anchor_rejected(self, unit_ball_2d):
         domain, metric = unit_ball_2d
@@ -277,7 +292,7 @@ class TestPPower:
             checked += 1
 
     def test_p_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"p must lie in \[1, 2\]"):
             p_power_f(np.eye(2), np.zeros(2), 2.5)
 
 
