@@ -117,6 +117,14 @@ class TestSynthetic:
         c, _ = synth_least_squares(6, 3, seed=12)
         assert not np.array_equal(a.features, c.features)
 
+    def test_p_power_range_check(self):
+        # p-power instances are synthetic least-squares data under p_power_f
+        from ugbench.problems import p_power_f
+        ds, _ = synth_least_squares(5, 2, seed=0)
+        for p in (0.5, 2.5):
+            with pytest.raises(ValueError, match=r"p must lie in \[1, 2\]"):
+                p_power_f(ds.features, ds.labels, p)
+
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             synth_least_squares(0, 3, seed=0)
