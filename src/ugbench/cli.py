@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -35,20 +35,39 @@ class ConfigError(ValueError):
     pass
 
 
+def _split(read):
+    return lambda text: tuple(map(read, text.split(",")))
+
+
+_floats = _split(float)
+
+
+def _option(flag, default, read=str, commands=("run", "sweep", "compare")):
+    """A RunConfig field; flag (None: file only) sets it on commands, via read."""
+    return field(default=default, metadata={"option": (flag, commands, read)})
+
+
 @dataclass
 class RunConfig:
-    problem: str = "ls"              # ls | logistic | ppower:P
-    data: str = "synthetic:100:50:0" # synthetic:M:N[:SEED] | libsvm path
-    radius: float = 1.0
-    solver: str = "ugm"              # see parse_solver
-    oracle: str = "exact"            # exact | gaussian:SIGMA | minibatch:B
-    D: float = None                  # default 2 * radius
-    max_iters: int = 1000
-    trace_every: int = 1
-    out: str = "."
-    seeds: tuple = (0,)
-    jobs: int = 1                    # accepted; every solve runs in one thread
-    b_diag: tuple = None             # default identity metric
+    """The whole invocation; each field is a config-file key (flags in order)."""
+    problem: str = _option("--problem", "ls")       # ls | logistic | ppower:P
+    data: str = _option("--data", "synthetic:100:50:0")  # or a LIBSVM path
+    solver: str = _option("--solver", "ugm")         # see parse_solver
+    oracle: str = _option("--oracle", "exact")  # exact | gaussian:SIGMA | minibatch:B
+    D: float = _option("--D", None, float)           # default 2 * radius
+    radius: float = _option("--radius", 1.0, float)
+    max_iters: int = _option("--iters", 1000, int)
+    trace_every: int = _option("--trace-every", 1, int)
+    seeds: tuple = _option("--seeds", (0,), _split(int))
+    jobs: int = _option("--jobs", 1, int)  # accepted; every solve runs in one thread
+    out: str = _option("--out", ".")
+    steps: tuple = _option("--steps", DEFAULT_STEP_GRID, _floats, ("sweep",))
+    diameters: tuple = _option("--diameters", DEFAULT_DIAMETER_GRID, _floats,
+                               ("sweep",))
+    # compare's solver specs; () means (solver,)
+    solvers: tuple = _option("--solvers", (), _split(str), ("compare",))
+    # default identity metric; MetricSpace checks its values in make_problem
+    b_diag: tuple = _option(None, None, _floats, ())
 
     def __post_init__(self):
         if not 0.0 < self.radius < math.inf:
@@ -63,8 +82,10 @@ class RunConfig:
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
-        if self.max_iters < 0 or self.trace_every < 1:
-            raise ConfigError("bad iteration counts")
+        solvers.check_iterations(self.max_iters, self.trace_every)
+
+
+OPTIONS = {f.name: f.metadata["option"] for f in fields(RunConfig)}
 
 
 def _fmt(v):
@@ -176,12 +197,10 @@ SOLVER_GRAMMAR = ("ugm, usgm, usfgm[:deterministic], adagrad[:grad_diff|grad_nor
 
 def _sgd_step(value):
     try:
-        step = float(value)
+        return solvers.check_step(float(value))
     except ValueError:
-        step = math.nan
-    if not 0.0 <= step < math.inf:
-        raise ConfigError(f"sgd step must be a finite number >= 0, got {value!r}")
-    return step
+        raise ConfigError(
+            f"sgd step must be a finite number >= 0, got {value!r}") from None
 
 
 def parse_solver(spec, D):
@@ -285,18 +304,19 @@ def cmd_run(cfg):
     return 0
 
 
-def cmd_sweep(cfg, steps=DEFAULT_STEP_GRID, diameters=DEFAULT_DIAMETER_GRID):
-    if not steps or not diameters:
+def cmd_sweep(cfg):
+    if not cfg.steps or not cfg.diameters:
         raise ConfigError("sweep grid must be nonempty")
 
     def grid():
         # sgd sweeps its step size under its own rule; the others sweep D
         solve = parse_solver(cfg.solver, cfg.D)
         if "step_rule" not in solve.kwargs:
-            return [(("D", d), parse_solver(cfg.solver, d)) for d in diameters]
+            return [(("D", d), parse_solver(cfg.solver, d))
+                    for d in cfg.diameters]
         rule = solve.kwargs["step_rule"][0]
         return [(("step", s), solve._replace(
-            kwargs={"step_rule": (rule, _sgd_step(s))})) for s in steps]
+            kwargs={"step_rule": (rule, _sgd_step(s))})) for s in cfg.steps]
 
     obj, jobs = _prepare(cfg, grid)
     rows = [(param, value, float(np.mean(_map_jobs(
@@ -323,11 +343,12 @@ def _record(oracle, grads):
     oracle.draw = recording_draw
 
 
-def cmd_compare(cfg, solver_specs):
-    if len(solver_specs) < 2:
+def cmd_compare(cfg):
+    specs = cfg.solvers or (cfg.solver,)
+    if len(specs) < 2:
         raise ConfigError("compare needs at least two solvers")
     obj, jobs = _prepare(cfg, lambda: [(spec, parse_solver(spec, cfg.D))
-                                       for spec in solver_specs])
+                                       for spec in specs])
     solves = [solve for _, solve, _ in jobs]
     usgm, grads, recorded = parse_solver("usgm", cfg.D), None, None
     if usgm in solves and parse_solver("adagrad", cfg.D) in solves:
@@ -360,81 +381,45 @@ def cmd_compare(cfg, solver_specs):
 
 
 def _build_config(args):
-    values = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    # argparse has typed the numeric flags; config-file values are cast below
-    for key in ("problem", "data", "solver", "oracle", "out", "radius", "D",
-                "iters", "trace_every", "jobs", "seeds"):
-        v = getattr(args, key, None)
-        if v is not None:
-            values["max_iters" if key == "iters" else key] = v
-    if isinstance(values.get("seeds"), str):
-        values["seeds"] = tuple(int(s) for s in values["seeds"].split(","))
-    for key, cast in (("radius", float), ("D", float), ("max_iters", int),
-                      ("trace_every", int), ("jobs", int)):
-        if key in values and isinstance(values[key], str):
-            values[key] = cast(values[key])
-    if isinstance(values.get("b_diag"), str):
-        # positivity and length are checked by MetricSpace in make_problem
-        try:
-            values["b_diag"] = tuple(float(s) for s in values["b_diag"].split(","))
-        except ValueError:
-            raise ConfigError(
-                f"b_diag must be comma-separated numbers, got {values['b_diag']!r}"
-            ) from None
-    allowed = set(RunConfig.__dataclass_fields__)
-    unknown = set(values) - allowed
+    """RunConfig of the config file's texts and the flags overriding them."""
+    texts = parse_config_file(args.config) if args.config else {}
+    unknown = set(texts) - set(OPTIONS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    flags = {key: getattr(args, key) for key in OPTIONS
+             if getattr(args, key, None) is not None}
+    texts.update(flags)
+    values = {}
+    for key, text in texts.items():
+        flag, _, read = OPTIONS[key]
+        try:
+            values[key] = read(text)
+        except ValueError as exc:
+            raise ConfigError(f"{flag if key in flags else key}: {exc}") from None
     return RunConfig(**values)
+
+
+COMMANDS = {"run": cmd_run, "sweep": cmd_sweep, "compare": cmd_compare}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="ugbench")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "sweep", "compare"):
-        p = sub.add_parser(name)
+    for command in COMMANDS:
+        p = sub.add_parser(command)
         p.add_argument("--config")
-        p.add_argument("--problem")
-        p.add_argument("--data")
-        p.add_argument("--solver")
-        p.add_argument("--oracle")
-        p.add_argument("--D", type=float, dest="D")
-        p.add_argument("--radius", type=float)
-        p.add_argument("--iters", type=int)
-        p.add_argument("--trace-every", type=int, dest="trace_every")
-        p.add_argument("--seeds")
-        p.add_argument("--jobs", type=int)
-        p.add_argument("--out")
-        if name == "sweep":
-            p.add_argument("--steps")
-            p.add_argument("--diameters")
-        if name == "compare":
-            p.add_argument("--solvers")
+        for key, (flag, commands, _) in OPTIONS.items():
+            if command in commands:
+                # dest is the field; the metavar is argparse's for the flag
+                p.add_argument(flag, dest=key,
+                               metavar=flag[2:].replace("-", "_").upper())
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "sweep":
-            steps = (tuple(float(s) for s in args.steps.split(","))
-                     if args.steps else DEFAULT_STEP_GRID)
-            diameters = (tuple(float(s) for s in args.diameters.split(","))
-                         if args.diameters else DEFAULT_DIAMETER_GRID)
-            return cmd_sweep(cfg, steps=steps, diameters=diameters)
-        solver_specs = (args.solvers.split(",") if args.solvers
-                        else ([cfg.solver] if cfg.solver else []))
-        return cmd_compare(cfg, solver_specs)
-    except dataio.LibsvmParseError as exc:
+        return COMMANDS[args.command](_build_config(args))
+    except (ValueError, OSError) as exc:
         print(f"ugbench: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except (ConfigError, ValueError) as exc:
-        print(f"ugbench: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except OSError as exc:
-        print(f"ugbench: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
+        data_error = isinstance(exc, (dataio.LibsvmParseError, OSError))
+        return EXIT_DATA_ERROR if data_error else EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

@@ -107,8 +107,8 @@ class Oracle:
     def __init__(self, obj, cfg=None):
         self.obj = obj
         self.cfg = cfg = cfg if cfg is not None else OracleConfig()
-        # the exact oracle never draws, so it seeds no generator
-        self.rng = None if cfg.kind == "exact" else make_rng(cfg.seed)
+        # an exact oracle (sigma 0 too) never draws, so it seeds no generator
+        self.rng = None if self.is_exact else make_rng(cfg.seed)
         self.calls = 0
         if self.is_exact:
             self._sample = lambda x: obj.f_eval(x)[1]

@@ -88,13 +88,28 @@ def check_diameter(D):
     return D
 
 
+def check_iterations(max_iters, trace_every):
+    """ValueError unless max_iters >= 0 and trace_every >= 1 (also the CLI's)."""
+    if not (max_iters >= 0 and trace_every >= 1):
+        raise ValueError("need max_iters >= 0 and trace_every >= 1, got "
+                         f"{max_iters!r} and {trace_every!r}")
+
+
+def check_step(c):
+    """c if 0 <= c < inf, else ValueError; sgd's step size, also the CLI's."""
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"step size must be finite and >= 0, got {c!r}")
+    return c
+
+
 def _diameter(obj, D):
     """D, by default the domain's diameter, through check_diameter."""
     return check_diameter(obj.domain.diameter_D if D is None else D)
 
 
-def _start_point(obj, x0):
+def _start_point(obj, x0, max_iters, trace_every):
     """x0, by default the ball's centre, as a new float64 vector in the ball."""
+    check_iterations(max_iters, trace_every)
     domain, metric = obj.domain, obj.metric
     metric.check_dim(domain.center)
     x = metric.check_dim(np.array(
@@ -165,7 +180,7 @@ def run_ugm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     domain, metric, f_eval = obj.domain, obj.metric, obj.f_eval
     D = _diameter(obj, D)
     omega = D * D
-    x = _start_point(obj, x0)
+    x = _start_point(obj, x0, max_iters, trace_every)
     b, shape = metric.b_diag, x.shape
     H = 0.0
     f_x, g_x = f_eval(x)
@@ -204,7 +219,7 @@ def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     """
     oracle = _as_oracle(obj, oracle)
     D = _diameter(obj, D)
-    x = _start_point(obj, x0)
+    x = _start_point(obj, x0, max_iters, trace_every)
     return _run(obj.value, _stochastic_step(obj, oracle, D, x), x, max_iters,
                 callbacks, trace_every, True)
 
@@ -243,11 +258,11 @@ def _usfgm_evaluators(obj, oracle, deterministic, shape):
 
     at_y and at_next map a point z to (f value or nan, w).  With mat set,
     z = mat @ x and the gradient is mat.T @ w; with mat None, z = x and w
-    is the gradient, checked by _gradient.  Only the built-in exact oracle
-    is bypassed; any other oracle is drawn at every point, as wrappers
-    around it expect.
+    is the gradient, checked by _gradient.  Only a built-in exact oracle
+    (sigma 0 too) is bypassed; any other is drawn at every point, as
+    wrappers around it expect.
     """
-    if type(oracle) is Oracle and oracle.cfg.kind == "exact":
+    if type(oracle) is Oracle and oracle.is_exact:
         if obj.A is not None:
             return obj.A, obj.loss, obj.loss
         f_eval = obj.f_eval
@@ -299,7 +314,7 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
     domain, metric = obj.domain, obj.metric
     D = _diameter(obj, D)
     omega = D * D
-    x = _start_point(obj, x0)
+    x = _start_point(obj, x0, max_iters, trace_every)
     b = metric.b_diag
     v = x
     mat, at_y, at_next = _usfgm_evaluators(obj, oracle, deterministic, x.shape)
@@ -352,11 +367,10 @@ def run_projected_subgrad(obj, oracle=None, step_rule=("decaying", 1.0),
     kind, c = step_rule
     if kind not in ("constant", "decaying"):
         raise ValueError(f"unknown step rule {kind!r}")
-    if c < 0:
-        raise ValueError("step size must be nonnegative")
+    check_step(c)
     oracle = _as_oracle(obj, oracle)
     domain, metric, draw = obj.domain, obj.metric, oracle.draw
-    x = _start_point(obj, x0)
+    x = _start_point(obj, x0, max_iters, trace_every)
     b, shape = metric.b_diag, x.shape
 
     def step(k, traced):
@@ -410,7 +424,7 @@ def run_adagrad_norm(obj, oracle=None, D=None, gamma_variant="grad_diff",
     """
     D = _diameter(obj, D)
     oracle = _as_oracle(obj, oracle)
-    x = _start_point(obj, x0)
+    x = _start_point(obj, x0, max_iters, trace_every)
     if gamma_variant is None:  # the step would take USGM's rule
         raise ValueError("unknown gamma variant None")
     step = _stochastic_step(obj, oracle, D, x, gamma_variant)
@@ -497,7 +511,7 @@ def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
     """
     D = _diameter(obj, D)
     S = len(oracles)
-    X = np.tile(_start_point(obj, None), (S, 1))
+    X = np.tile(_start_point(obj, None, max_iters, trace_every), (S, 1))
     lanes = _LaneOracle(obj, oracles, grads)
     step = _stochastic_step(obj, lanes, D, X, gamma_variant)
     X, records = _run(obj._lanes.value, step, X, max_iters, (), trace_every,

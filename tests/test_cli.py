@@ -204,6 +204,42 @@ class TestBadInputs:
         assert rc == EXIT_BAD_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, args, config, name", [
+        ("run", ["--iters", "abc"], "", "--iters"),
+        ("run", ["--radius", "x"], "", "--radius"),
+        ("run", ["--seeds", "1,x"], "", "--seeds"),
+        ("run", [], "trace_every = 1.5\n", "trace_every"),
+        ("sweep", ["--steps", ""], "", "--steps"),
+        ("sweep", ["--diameters", ""], "", "--diameters"),
+        ("sweep", [], "solver = sgd\nsteps = 1,x\n", "steps"),
+    ], ids=["iters", "radius", "seeds", "file-trace_every", "steps-empty",
+            "diameters-empty", "file-steps"])
+    def test_malformed_option_text_names_the_option(
+            self, tmp_path, capsys, command, args, config, name):
+        # one reader per option, for flags and config-file values alike; an
+        # empty grid is malformed text, not the default grid
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfgfile), *SMALL, *args,
+                   "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"ugbench: {name}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, counts", [
+        (["--iters", "-1"], (-1, 1)), (["--trace-every", "0"], (200, 0))],
+        ids=["iters", "trace-every"])
+    def test_iteration_counts_checked_by_the_solvers_rule(
+            self, tmp_path, capsys, args, counts):
+        with pytest.raises(ValueError) as expected:
+            ugbench.solvers.check_iterations(*counts)
+        out = tmp_path / "out"
+        assert main(["run", *SMALL, *args, "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == f"ugbench: {expected.value}\n"
+
     def test_missing_data_file(self, tmp_path):
         rc = main(["run", "--data", str(tmp_path / "absent.libsvm"),
                    "--out", str(tmp_path)])
@@ -248,6 +284,35 @@ class TestConfigFile:
         assert rc == 0
         for s in (3, 4):
             assert len(read_csv(os.path.join(out, f"trace_ugm_{s}.csv"))) == 26
+
+    @pytest.mark.parametrize("command, args, config", [
+        ("sweep", ["--solver", "sgd:1:constant", "--steps", "1,0.1"],
+         "solver = sgd:1:constant\nsteps = 1,0.1\n"),
+        ("sweep", ["--solver", "usgm", "--oracle", "gaussian:1.0",
+                   "--seeds", "0,1", "--diameters", "4,2"],
+         "solver = usgm\noracle = gaussian:1.0\nseeds = 0,1\n"
+         "diameters = 4,2\n"),
+        ("compare", ["--solvers", "usgm,adagrad,ugm"],
+         "solvers = usgm,adagrad,ugm\n"),
+    ], ids=["steps", "diameters", "solvers"])
+    def test_file_sets_what_the_flags_set(self, tmp_path, command, args,
+                                          config):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        outputs = {}
+        for name, given in (("flags", args), ("file", ["--config", str(cfgfile)])):
+            out = tmp_path / name
+            assert main([command, *SMALL, *given, "--out", str(out)]) == 0
+            outputs[name] = {f.name: f.read_bytes() for f in out.iterdir()}
+        # sweep.csv and compare.csv carry no wall time
+        assert outputs["file"] == outputs["flags"]
+        # a flag overrides the file's grid
+        key, value = config.splitlines()[-1].split(" = ")
+        out = tmp_path / "overridden"
+        flag = "--" + key
+        assert main([command, *SMALL, "--config", str(cfgfile), flag,
+                     value.rsplit(",", 1)[0], "--out", str(out)]) == 0
+        assert outputs["file"] != {f.name: f.read_bytes() for f in out.iterdir()}
 
     def test_unknown_key_rejected(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -355,9 +420,9 @@ class TestSweep:
     def test_empty_grid_rejected(self, tmp_path):
         from ugbench.cli import RunConfig, cmd_sweep, ConfigError
         cfg = RunConfig(data="synthetic:5:2:0", max_iters=5,
-                        out=str(tmp_path))
+                        out=str(tmp_path), steps=(), diameters=())
         with pytest.raises(ConfigError):
-            cmd_sweep(cfg, steps=(), diameters=())
+            cmd_sweep(cfg)
 
 
 class TestCompare:

@@ -296,6 +296,7 @@ def test_minibatch_mean_matches_mean(data, batch_size, seed):
 def test_exact_oracle_holds_no_generator():
     obj = least_squares_f(np.eye(2), np.ones(2))
     assert Oracle(obj).rng is None
+    assert Oracle(obj, OracleConfig(kind="gaussian", sigma=0.0)).rng is None
     assert Oracle(obj, OracleConfig(kind="gaussian", sigma=1.0)).rng is not None
 
 

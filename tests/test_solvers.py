@@ -14,6 +14,7 @@ from ugbench.problems import (
     prox_step,
 )
 from ugbench.solvers import (
+    _run_lanes,
     balance_update,
     reg_max_bound,
     run_adagrad_norm,
@@ -319,6 +320,18 @@ class TestUsfgm:
         assert fields(wrapped) == fields(plain)
 
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gaussian_sigma_0_is_the_exact_oracle(self, ls_instance, mode):
+        # sigma 0 takes the exact oracle's path, which carries A x
+        arrays = []
+        for cfg in (OracleConfig(), OracleConfig(kind="gaussian", sigma=0.0)):
+            x, trace = run_usfgm(ls_instance, cfg, surrogate_mode=mode,
+                                 max_iters=40, trace_every=3)
+            arrays.append((x, np.array([rec[:7] for rec in trace])))
+        for exact, sigma_0 in zip(*arrays):
+            np.testing.assert_array_equal(sigma_0, exact)
+
+
 class TestMatvecCounts:
     """Products with A per iteration, monitoring at every iteration included."""
 
@@ -344,6 +357,15 @@ class TestMatvecCounts:
         start = A.count
         run_usfgm(obj, surrogate_mode=mode, max_iters=10)
         assert A.count - start == 1 + 2 * 10  # A @ x_0, then two per iteration
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_usfgm_gaussian_sigma_0(self, counted, mode):
+        obj, A = counted
+        start = A.count
+        run_usfgm(obj, OracleConfig(kind="gaussian", sigma=0.0),
+                  surrogate_mode=mode, max_iters=10)
+        assert A.count - start == 1 + 2 * 10
 
 
 class TestProjectedSubgrad:
@@ -378,6 +400,17 @@ class TestProjectedSubgrad:
         with pytest.raises(ValueError):
             run_projected_subgrad(ls_instance, step_rule=("warp", 1.0),
                                   max_iters=2)
+
+
+    @pytest.mark.parametrize("step_rule", [
+        ("constant", math.nan), ("decaying", math.inf), ("constant", -1.0)])
+    def test_step_must_be_finite_and_nonnegative(self, ls_instance, step_rule):
+        # checked at entry; a nan step used to stop the first iteration's
+        # projection at a point of non-finite distance
+        with pytest.raises(ValueError,
+                           match="step size must be finite and >= 0"):
+            run_projected_subgrad(ls_instance, step_rule=step_rule,
+                                  max_iters=0)
 
 
 class TestAdagradNorm:
@@ -418,6 +451,38 @@ def test_bad_diameter_rejected_at_entry(ls_instance, run, D):
     # rejected before the first iteration: max_iters=0 runs no step at all
     with pytest.raises(ValueError, match="D must be"):
         run(ls_instance, D=D, max_iters=0)
+
+
+ENTRY_RUNS = {"ugm": run_ugm, "usgm": run_usgm, "usfgm": run_usfgm,
+              "sgd": run_projected_subgrad, "adagrad": run_adagrad_norm}
+
+
+@pytest.mark.parametrize("name", [*ENTRY_RUNS, "lanes"])
+@pytest.mark.parametrize("max_iters, trace_every",
+                         [(-2, 1), (5, 0), (5, -1), (5, math.nan)])
+def test_bad_iteration_counts_rejected_before_any_evaluation(
+        ls_instance, name, max_iters, trace_every):
+    # trace_every = 0 used to divide by zero at k = 1, after the first
+    # evaluations; -1 monitored every iteration; max_iters = -2 returned an
+    # empty trace
+    evaluated = []
+
+    def f_eval(x):
+        evaluated.append(x)
+        return ls_instance.f_eval(x)
+    user = CompositeObjective(f_eval=f_eval, domain=ls_instance.domain,
+                              metric=ls_instance.metric)
+    with pytest.raises(ValueError, match="max_iters >= 0 and trace_every >= 1"):
+        if name == "lanes":
+            oracles = [Oracle(ls_instance, OracleConfig(
+                kind="gaussian", sigma=1.0, seed=seed)) for seed in (0, 1)]
+            _run_lanes(ls_instance, oracles, max_iters, trace_every)
+        else:
+            oracle = None if name == "ugm" else OracleConfig(
+                kind="gaussian", sigma=1.0)
+            ENTRY_RUNS[name](user, oracle, max_iters=max_iters,
+                             trace_every=trace_every)
+    assert evaluated == []
 
 
 PROX_RUNS = {"ugm": run_ugm, "usgm": run_usgm, "usfgm": run_usfgm,
