@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 
 
 def _split(read):
-    return lambda text: tuple(map(read, text.split(",")))
+    return lambda text: tuple(read(item.strip()) for item in text.split(","))
 
 
 _floats = _split(float)
@@ -113,10 +113,11 @@ def load_dataset(cfg):
     spec = cfg.data
     if spec.startswith("synthetic:"):
         parts = spec.split(":")[1:]
-        if len(parts) not in (2, 3):
-            raise ConfigError(f"bad synthetic data spec {spec!r}")
-        m, n = int(parts[0]), int(parts[1])
-        data_seed = int(parts[2]) if len(parts) == 3 else 0
+        try:  # unpacking raises ValueError too, unless there are 2 or 3 parts
+            m, n, data_seed = map(int, parts if len(parts) == 3 else parts + ["0"])
+        except ValueError:
+            raise ConfigError(f"bad synthetic data spec {spec!r}; expected "
+                              "synthetic:M:N[:SEED]") from None
         ds, _ = dataio.synth_least_squares(m, n, data_seed)
         if cfg.problem == "logistic":
             ds = dataio.Dataset(
@@ -131,26 +132,29 @@ def load_dataset(cfg):
         )
 
 
-def _ppower_exponent(cfg):
-    _, sep, p = cfg.problem.partition(":")
-    if not sep:
-        raise ConfigError("ppower problem needs an exponent, e.g. ppower:1.5")
-    return float(p)
+PROBLEM_GRAMMAR = "ls, logistic or ppower:P with 1 <= P <= 2"
 
 
 def make_problem(cfg, dataset):
-    n = dataset.n
+    """The one reader of problem specs; anything outside PROBLEM_GRAMMAR
+    raises ConfigError."""
+    spec = cfg.problem
+    name, *args = spec.split(":")
+    try:
+        p = float(args[0]) if name == "ppower" and len(args) == 1 else math.nan
+    except ValueError:
+        p = math.nan
+    if spec not in ("ls", "logistic") and not 1.0 <= p <= 2.0:
+        raise ConfigError(f"bad problem {spec!r}; expected {PROBLEM_GRAMMAR}")
+    n, A, b = dataset.n, dataset.features, dataset.labels
     metric = (MetricSpace(n, np.asarray(cfg.b_diag)) if cfg.b_diag
               else MetricSpace.euclidean(n))
     domain = BallDomain(np.zeros(n), cfg.radius)
-    if cfg.problem == "ls":
-        return least_squares_f(dataset.features, dataset.labels, domain, metric)
-    if cfg.problem == "logistic":
-        return logistic_f(dataset.features, dataset.labels, domain, metric)
-    if cfg.problem.startswith("ppower"):
-        return p_power_f(dataset.features, dataset.labels,
-                         _ppower_exponent(cfg), domain, metric)
-    raise ConfigError(f"unknown problem {cfg.problem!r}")
+    if spec == "ls":
+        return least_squares_f(A, b, domain, metric)
+    if spec == "logistic":
+        return logistic_f(A, b, domain, metric)
+    return p_power_f(A, b, p, domain, metric)
 
 
 ORACLE_GRAMMAR = ("exact, gaussian:SIGMA with finite SIGMA >= 0 or "

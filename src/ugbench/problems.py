@@ -181,22 +181,15 @@ def _gradient(g, shape):
 def least_squares_f(A, b, domain=None, metric=None, label="least-squares"):
     """f(x) = (1/2) ||Ax - b||_2^2 with gradient A^T (Ax - b)."""
     A, b = _check_data(A, b)
-    m, n = A.shape
+    m = len(b)
 
     def loss(z):
         r = z - b
-        return 0.5 * float(np.dot(r, r)), r
-
-    def lane_loss(Z):
-        R = Z - b
-        return 0.5 * np.vecdot(R, R), R
+        return 0.5 * np.vecdot(r, r), r
 
     # full gradient is the uniform mean over rows of m * r_i * a_i
-    row_grad, lane_row_grad = _row_gradients(
-        A, lambda z, idx: m * (z - b[idx]))
-    return _with_defaults(_lifted(A, loss), domain, metric, n, label, m,
-                          row_grad, A, loss,
-                          _lifted_lanes(A, lane_loss, lane_row_grad))
+    return _loss_objective(A, loss, lambda z, idx: m * (z - b[idx]), domain,
+                           metric, label)
 
 
 def logistic_f(features, labels, domain=None, metric=None, label="logistic"):
@@ -204,31 +197,23 @@ def logistic_f(features, labels, domain=None, metric=None, label="logistic"):
     A, b = _check_data(features, labels)
     if not np.all(np.isin(b, (-1.0, 1.0))):
         raise DataShapeError("logistic labels must be in {-1, +1}")
-    m, n = A.shape
+    m = len(b)
 
     def _sigmoid(z):
         # exp(-|z|) <= 1 cannot overflow; each branch takes its side's exp
         e = np.exp(-np.abs(z))
         return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def lane_loss(z):
-        # z is one point's A x or one per row
+    def loss(z):
         margins = b * z
         value = np.add.reduce(np.logaddexp(0.0, -margins), axis=-1)
         return value, -b * _sigmoid(-margins)
-
-    def loss(z):
-        value, w = lane_loss(z)
-        return float(value), w
 
     def row_weights(z, idx):
         signs = b[idx]
         return m * (-signs * _sigmoid(-(signs * z)))
 
-    row_grad, lane_row_grad = _row_gradients(A, row_weights)
-    return _with_defaults(_lifted(A, loss), domain, metric, n, label, m,
-                          row_grad, A, loss,
-                          _lifted_lanes(A, lane_loss, lane_row_grad))
+    return _loss_objective(A, loss, row_weights, domain, metric, label)
 
 
 def p_power_f(A, b, p, domain=None, metric=None, label=None):
@@ -240,44 +225,34 @@ def p_power_f(A, b, p, domain=None, metric=None, label=None):
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must lie in [1, 2], got {p}")
     A, b = _check_data(A, b)
-    m, n = A.shape
+    m = len(b)
 
-    def _row_weights(r, a):
+    def weights(r, a):
         # a = |r|; sign(0) = 0 gives kinks the zero subgradient, also at p = 1
         return p * np.sign(r) * a ** (p - 1.0)
 
-    def f_eval(x):
-        # divides by m after the product; A.T @ loss(A @ x)[1] divides before
-        r = A @ x - b
-        a = np.abs(r)
-        value = float(np.add.reduce(a ** p)) / m
-        return value, A.T @ _row_weights(r, a) / m
-
-    def lane_loss(z):
+    def loss(z):
         r = z - b
         a = np.abs(r)
-        return np.add.reduce(a ** p, axis=-1) / m, _row_weights(r, a) / m
+        return np.add.reduce(a ** p, axis=-1) / m, weights(r, a) / m
 
-    def loss(z):
-        value, w = lane_loss(z)
-        return float(value), w
+    # f_eval and grad divide by m after the product, A.T @ loss(A x)[1] before
+    def f_eval(x):
+        r = A @ x - b
+        a = np.abs(r)
+        return float(np.add.reduce(a ** p)) / m, A.T @ weights(r, a) / m
 
-    def lane_grad(X):
-        # f_eval's subgradient, which divides after the product
+    def grad(X):
         R = _stacked(A, X) - b
-        return _stacked(A.T, _row_weights(R, np.abs(R))) / m
+        return _stacked(A.T, weights(R, np.abs(R))) / m
 
     def row_weights(z, idx):
         r = z - b[idx]
-        return _row_weights(r, np.abs(r))
+        return weights(r, np.abs(r))
 
-    row_grad, lane_row_grad = _row_gradients(A, row_weights)
-    if label is None:
-        label = f"p-power(p={p})"
-    lanes = _Lanes(lambda X: lane_loss(_stacked(A, X))[0], lane_grad,
-                   lane_row_grad)
-    return _with_defaults(f_eval, domain, metric, n, label, m, row_grad, A,
-                          loss, lanes)
+    return _loss_objective(A, loss, row_weights, domain, metric,
+                           f"p-power(p={p})" if label is None else label,
+                           f_eval, grad)
 
 
 def _check_data(A, b):
@@ -290,14 +265,6 @@ def _check_data(A, b):
     if A.ndim != 2 or b.shape != (A.shape[0],):
         raise DataShapeError(f"incompatible shapes A{A.shape}, b{b.shape}")
     return A, b
-
-
-def _lifted(A, loss):
-    """f_eval of f(x) = loss(A x)."""
-    def f_eval(x):
-        value, w = loss(A @ x)
-        return value, A.T @ w
-    return f_eval
 
 
 class _Lanes(NamedTuple):
@@ -323,39 +290,46 @@ def _stacked(M, X):
     return np.matmul(M, X[..., None])[..., 0]
 
 
-def _lifted_lanes(A, lane_loss, lane_row_grad):
-    """_Lanes of f(x) = loss(A x); lane_loss maps the rows of Z to
-    (values, weights) as loss maps one z."""
+def _loss_objective(A, loss, row_weights, domain, metric, label, f_eval=None,
+                    grad=None):
+    """The CompositeObjective of f(x) = loss(A x), with its _Lanes, on the
+    unit ball and Euclidean metric unless domain and metric are given.
+
+    loss maps z = A x, or one such row per lane, to (values, w) with
+    subgradient A.T @ w; row_weights(A[idx] @ x, idx) gives each sampled
+    row's factor: row i's gradient is row_weights_i * a_i.  f_eval and
+    grad, the lane form of its subgradient, given together, replace the
+    subgradient A.T @ w.
+    """
+    m, n = A.shape
     A_T = A.T
-    return _Lanes(lambda X: lane_loss(_stacked(A, X))[0],
-                  lambda X: _stacked(A_T, lane_loss(_stacked(A, X))[1]),
-                  lane_row_grad)
 
+    def point_loss(z):
+        value, w = loss(z)
+        return float(value), w
 
-def _row_gradients(A, weights):
-    """(row_grad, its lane form), where weights(A[idx] @ x, idx) gives each
-    sampled row's factor: row i's gradient is weights_i * a_i."""
+    if f_eval is None:
+        def f_eval(x):
+            value, w = loss(A @ x)
+            return float(value), A_T @ w
+
+        def grad(X):
+            return _stacked(A_T, loss(_stacked(A, X))[1])
+
     def row_grad(x, idx):
         rows = A[idx]
-        return weights(rows @ x, idx)[:, None] * rows
+        return row_weights(rows @ x, idx)[:, None] * rows
 
     def lane_row_grad(X, IDX):
         rows = A[IDX]
-        return weights(_stacked(rows, X), IDX)[..., None] * rows
-    return row_grad, lane_row_grad
+        return row_weights(_stacked(rows, X), IDX)[..., None] * rows
 
-
-def _with_defaults(f_eval, domain, metric, n, label, n_rows, row_grad, A, loss,
-                   lanes):
-    if metric is None:
-        metric = MetricSpace.euclidean(n)
-    if domain is None:
-        domain = BallDomain(np.zeros(n), 1.0)
     obj = CompositeObjective(
-        f_eval=f_eval, domain=domain, metric=metric, label=label,
-        n_rows=n_rows, row_grad=row_grad, A=A, loss=loss,
-    )
-    obj._lanes = lanes
+        f_eval=f_eval, label=label, n_rows=m, row_grad=row_grad, A=A,
+        loss=point_loss,
+        domain=BallDomain(np.zeros(n), 1.0) if domain is None else domain,
+        metric=MetricSpace.euclidean(n) if metric is None else metric)
+    obj._lanes = _Lanes(lambda X: loss(_stacked(A, X))[0], grad, lane_row_grad)
     return obj
 
 

@@ -10,6 +10,7 @@ from ugbench.cli import (
     DEFAULT_STEP_GRID,
     EXIT_BAD_CONFIG,
     EXIT_DATA_ERROR,
+    PROBLEM_GRAMMAR,
     TRACE_HEADER,
     RunConfig,
     load_dataset,
@@ -50,7 +51,9 @@ BAD_SPECS = [
         ("--solver", ("bogus", "adagrad:bogus", "sgd:abc", "sgd:-1", "sgd:inf",
                       "sgd:1:bogus", "usfgm:determinstic", "ugm:")),
         ("--oracle", ("bogus", "gaussian:-1", "minibatch:0", "minibatch:1.5",
-                      "gaussian:1:2", "minibatch:2:3")))
+                      "gaussian:1:2", "minibatch:2:3")),
+        ("--problem", ("ppowerfoo:1.5", "ppower:abc", "ppower", "ppower:",
+                       "ppower:2.5", "ppower:nan", "ppower:1.5:2", "ls:1")))
     for spec in specs
 ] + [
     # sgd sweeps step sizes, every other method sweeps diameters
@@ -161,6 +164,22 @@ class TestBadInputs:
     def test_bad_synthetic_spec(self, tmp_path):
         rc = main(["run", "--data", "synthetic:10", "--out", str(tmp_path)])
         assert rc == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("flag, spec, expected", [
+        pytest.param("--problem", spec, f"bad problem {spec!r}; expected "
+                     f"{PROBLEM_GRAMMAR}", id=spec)
+        for spec in ("svm", "ppowerfoo:1.5", "ppower:abc", "ppower:0.5")
+    ] + [
+        pytest.param("--data", spec, f"bad synthetic data spec {spec!r}; "
+                     "expected synthetic:M:N[:SEED]", id=spec)
+        for spec in ("synthetic:a:3", "synthetic:5:2:x", "synthetic:10",
+                     "synthetic:5:2:0:1")
+    ])
+    def test_bad_spec_names_its_grammar(self, tmp_path, capsys, flag, spec,
+                                        expected):
+        args = ["--data", "synthetic:5:2:0", flag, spec]
+        assert main(["run", *args, "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == f"ugbench: {expected}\n"
 
     def test_nonpositive_diameter(self, tmp_path):
         rc = main(["run", *SMALL, "--D", "-1", "--out", str(tmp_path)])
@@ -294,7 +313,10 @@ class TestConfigFile:
          "diameters = 4,2\n"),
         ("compare", ["--solvers", "usgm,adagrad,ugm"],
          "solvers = usgm,adagrad,ugm\n"),
-    ], ids=["steps", "diameters", "solvers"])
+        # a list's items may be spaced, as in "a, b"
+        ("compare", ["--seeds", "0,1", "--solvers", "usgm,adagrad,ugm"],
+         "seeds = 0, 1\nsolvers = usgm, adagrad , ugm\n"),
+    ], ids=["steps", "diameters", "solvers", "spaced-lists"])
     def test_file_sets_what_the_flags_set(self, tmp_path, command, args,
                                           config):
         cfgfile = tmp_path / "run.cfg"

@@ -306,15 +306,23 @@ MAKE_OBJS = [
 
 @pytest.mark.parametrize("make_obj", MAKE_OBJS)
 def test_loss_of_A_x_gives_f_eval(make_obj):
-    # the A/loss structure the solvers may use instead of f_eval
+    # the A/loss structure the solvers may use instead of f_eval, and the
+    # lanes, whose row s has the bits of the one-point formulas at X[s]
     rng = np.random.Generator(np.random.Philox(14))
     obj = make_obj(rng)
     for _ in range(20):
-        x = sample_in_ball(obj.domain, obj.metric, rng)
-        f, g = obj.f_eval(x)
-        value, w = obj.loss(obj.A @ x)
-        assert value == f
-        np.testing.assert_allclose(obj.A.T @ w, g, rtol=1e-12, atol=1e-14)
+        X = sample_in_ball(obj.domain, obj.metric, rng, size=3)
+        IDX = rng.integers(0, obj.n_rows, size=(3, 5))
+        values, grads = obj._lanes.value(X), obj._lanes.grad(X)
+        row_grads = obj._lanes.row_grad(X, IDX)
+        for s, x in enumerate(X):
+            f, g = obj.f_eval(x)
+            value, w = obj.loss(obj.A @ x)
+            assert type(value) is float and value == f
+            np.testing.assert_allclose(obj.A.T @ w, g, rtol=1e-12, atol=1e-14)
+            assert values[s].tobytes() == np.float64(obj.value(x)).tobytes()
+            assert grads[s].tobytes() == g.tobytes()
+            assert row_grads[s].tobytes() == obj.row_grad(x, IDX[s]).tobytes()
 
 
 @pytest.mark.parametrize("build", [
