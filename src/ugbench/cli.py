@@ -75,8 +75,8 @@ class RunConfig:
                 f"radius must be positive and finite, got {self.radius}")
         self.D = solvers.check_diameter(
             2.0 * self.radius if self.D is None else self.D)
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonempty and >= 0, got {self.seeds}")
         # two equal seeds would give two identical solves one trace file
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
@@ -115,6 +115,8 @@ def load_dataset(cfg):
         parts = spec.split(":")[1:]
         try:  # unpacking raises ValueError too, unless there are 2 or 3 parts
             m, n, data_seed = map(int, parts if len(parts) == 3 else parts + ["0"])
+            if min(m, n) < 1 or data_seed < 0:
+                raise ValueError
         except ValueError:
             raise ConfigError(f"bad synthetic data spec {spec!r}; expected "
                               "synthetic:M:N[:SEED]") from None
@@ -135,26 +137,27 @@ def load_dataset(cfg):
 PROBLEM_GRAMMAR = "ls, logistic or ppower:P with 1 <= P <= 2"
 
 
-def make_problem(cfg, dataset):
-    """The one reader of problem specs; anything outside PROBLEM_GRAMMAR
-    raises ConfigError."""
-    spec = cfg.problem
+def parse_problem(spec):
+    """The one reader of problem specs: spec -> build(A, b, domain, metric).
+    Anything outside PROBLEM_GRAMMAR raises ConfigError."""
+    if spec in ("ls", "logistic"):
+        return least_squares_f if spec == "ls" else logistic_f
     name, *args = spec.split(":")
     try:
         p = float(args[0]) if name == "ppower" and len(args) == 1 else math.nan
     except ValueError:
         p = math.nan
-    if spec not in ("ls", "logistic") and not 1.0 <= p <= 2.0:
+    if not 1.0 <= p <= 2.0:
         raise ConfigError(f"bad problem {spec!r}; expected {PROBLEM_GRAMMAR}")
-    n, A, b = dataset.n, dataset.features, dataset.labels
+    return lambda A, b, domain, metric: p_power_f(A, b, p, domain, metric)
+
+
+def make_problem(cfg, dataset):
+    build, n = parse_problem(cfg.problem), dataset.n
     metric = (MetricSpace(n, np.asarray(cfg.b_diag)) if cfg.b_diag
               else MetricSpace.euclidean(n))
-    domain = BallDomain(np.zeros(n), cfg.radius)
-    if spec == "ls":
-        return least_squares_f(A, b, domain, metric)
-    if spec == "logistic":
-        return logistic_f(A, b, domain, metric)
-    return p_power_f(A, b, p, domain, metric)
+    return build(dataset.features, dataset.labels,
+                 BallDomain(np.zeros(n), cfg.radius), metric)
 
 
 ORACLE_GRAMMAR = ("exact, gaussian:SIGMA with finite SIGMA >= 0 or "
@@ -249,31 +252,30 @@ def _solver_tag(spec):
     return spec.replace(":", "-").replace(".", "p")
 
 
-def _prepare(cfg, parse):
-    """The front of every command, in this order: build the problem, parse
-    every solve (parse() lists (label, solve) pairs), build one oracle per
-    solve and seed, and only then create cfg.out, so that a bad spec leaves
-    no output.  Returns obj and one (label, solve, oracles) per solve."""
-    obj = make_problem(cfg, load_dataset(cfg))
-    jobs = [(label, solve, [Oracle(obj, make_oracle_config(cfg.oracle, seed))
-                            for seed in cfg.seeds])
-            for label, solve in parse()]
-    for label, solve, oracles in jobs:
-        if solve.needs_exact_oracle and not oracles[0].is_exact:
-            spec = label if isinstance(label, str) else cfg.solver
+def _prepare(cfg, solves):
+    """The front of every command, given its (spec, solve) pairs: check the
+    problem spec, each seed's oracle spec and each solve's need of an exact
+    oracle, and only then load the data, build the problem and one oracle
+    per solve and seed, and create cfg.out, so that a bad flag reads no
+    data and leaves no output.  Returns obj and each solve's oracles."""
+    parse_problem(cfg.problem)
+    configs = [make_oracle_config(cfg.oracle, seed) for seed in cfg.seeds]
+    for spec, solve in solves:
+        if solve.needs_exact_oracle and not configs[0].is_exact:
             raise ConfigError(
                 f"solver {spec!r} needs an exact oracle, got {cfg.oracle!r}")
+    obj = make_problem(cfg, load_dataset(cfg))
+    oracles = [[Oracle(obj, config) for config in configs] for _ in solves]
     os.makedirs(cfg.out, exist_ok=True)
-    return obj, jobs
+    return obj, oracles
 
 
 _LANE_ENTRIES = ("run_usgm", "run_adagrad_norm")
 
 
-def _map_jobs(cfg, obj, solve, oracles, reduce=lambda trace: trace,
-              grads=None):
-    """reduce(trace) of solve on each seed's oracle; grads, if a list,
-    receives the gradients the first seed's oracle draws.
+def _map_jobs(cfg, obj, solve, oracles, grads=None):
+    """The trace of solve on each seed's oracle; grads, if a list, receives
+    the gradients the first seed's oracle draws.
 
     Several seeds of usgm and adagrad run as the lanes of one pass
     (solvers._run_lanes), which needs what _prepare builds: oracles of one
@@ -282,18 +284,18 @@ def _map_jobs(cfg, obj, solve, oracles, reduce=lambda trace: trace,
     calls and, at large n, compete for BLAS.
     """
     if solve.entry in _LANE_ENTRIES and len(oracles) > 1:
-        return [reduce(trace) for _, trace in solvers._run_lanes(
+        return [trace for _, trace in solvers._run_lanes(
             obj, oracles, cfg.max_iters, cfg.trace_every, grads=grads,
             **solve.kwargs)]
     if grads is not None:
         _record(oracles[0], grads)
-    return [reduce(solve(obj, oracle, cfg.max_iters, cfg.trace_every)[1])
+    return [solve(obj, oracle, cfg.max_iters, cfg.trace_every)[1]
             for oracle in oracles]
 
 
 def cmd_run(cfg):
-    obj, [(_, solve, oracles)] = _prepare(
-        cfg, lambda: [(None, parse_solver(cfg.solver, cfg.D))])
+    solve = parse_solver(cfg.solver, cfg.D)
+    obj, [oracles] = _prepare(cfg, [(cfg.solver, solve)])
     summary = []
     for seed, trace in zip(cfg.seeds, _map_jobs(cfg, obj, solve, oracles)):
         write_trace(os.path.join(
@@ -311,22 +313,19 @@ def cmd_run(cfg):
 def cmd_sweep(cfg):
     if not cfg.steps or not cfg.diameters:
         raise ConfigError("sweep grid must be nonempty")
-
-    def grid():
-        # sgd sweeps its step size under its own rule; the others sweep D
-        solve = parse_solver(cfg.solver, cfg.D)
-        if "step_rule" not in solve.kwargs:
-            return [(("D", d), parse_solver(cfg.solver, d))
-                    for d in cfg.diameters]
+    # sgd sweeps its step size under its own rule; the others sweep D
+    solve = parse_solver(cfg.solver, cfg.D)
+    if "step_rule" in solve.kwargs:
         rule = solve.kwargs["step_rule"][0]
-        return [(("step", s), solve._replace(
+        grid = [("step", s, solve._replace(
             kwargs={"step_rule": (rule, _sgd_step(s))})) for s in cfg.steps]
-
-    obj, jobs = _prepare(cfg, grid)
-    rows = [(param, value, float(np.mean(_map_jobs(
-                cfg, obj, solve, oracles,
-                lambda trace: trace[-1].F_value if trace else math.nan))))
-            for (param, value), solve, oracles in jobs]
+    else:
+        grid = [("D", d, parse_solver(cfg.solver, d)) for d in cfg.diameters]
+    obj, oracles = _prepare(cfg, [(cfg.solver, solve) for _, _, solve in grid])
+    rows = [(param, value, float(np.mean([
+                trace[-1].F_value if trace else math.nan
+                for trace in _map_jobs(cfg, obj, solve, seed_oracles)])))
+            for (param, value, solve), seed_oracles in zip(grid, oracles)]
     # ties break toward the smaller parameter value, then the earlier row
     best = min(range(len(rows)), key=lambda i: (rows[i][2], rows[i][1]))
     _write_csv(os.path.join(cfg.out, "sweep.csv"),
@@ -351,31 +350,29 @@ def cmd_compare(cfg):
     specs = cfg.solvers or (cfg.solver,)
     if len(specs) < 2:
         raise ConfigError("compare needs at least two solvers")
-    obj, jobs = _prepare(cfg, lambda: [(spec, parse_solver(spec, cfg.D))
-                                       for spec in specs])
-    solves = [solve for _, solve, _ in jobs]
+    solves = [parse_solver(spec, cfg.D) for spec in specs]
+    obj, oracles = _prepare(cfg, list(zip(specs, solves)))
     usgm, grads, recorded = parse_solver("usgm", cfg.D), None, None
     if usgm in solves and parse_solver("adagrad", cfg.D) in solves:
         grads, recorded = [], solves.index(usgm)
-    traces = [_map_jobs(cfg, obj, solve, oracles, lambda trace: (
-                  [rec.F_value for rec in trace], [rec.H for rec in trace]),
-                  grads if i == recorded else None)
-              for i, (_, solve, oracles) in enumerate(jobs)]
+    traces = [_map_jobs(cfg, obj, solve, seed_oracles,
+                        grads if i == recorded else None)
+              for i, (solve, seed_oracles) in enumerate(zip(solves, oracles))]
     columns = []
     for per_seed in traces:
         # the mean over seeds, taken where some seed has a value: nanmean
         # warns on a column of nan
-        F = np.asarray([F for F, _ in per_seed])
+        F = np.asarray([[rec.F_value for rec in trace] for trace in per_seed])
         valued = ~np.isnan(F).all(axis=0)
         columns.append(np.full(F.shape[1], math.nan))
         columns[-1][valued] = np.nanmean(F[:, valued], axis=0)
-    header = ["k"] + [f"F_{_solver_tag(spec)}" for spec, _, _ in jobs]
+    header = ["k"] + [f"F_{_solver_tag(spec)}" for spec in specs]
     if grads is not None:
         # AdaGrad's coefficient on the gradients USGM drew on the first seed
         coefficient = solvers._adagrad_coefficient(
             obj.metric.b_diag, cfg.D, "grad_diff")
         h_prime = [coefficient(g, g_next) for g, g_next in zip(grads, grads[1:])]
-        H = traces[recorded][0][1]
+        H = [rec.H for rec in traces[recorded][0]]
         columns.append(np.asarray(h_prime) - np.asarray(H))
         header.append("adagrad_domination")
     _write_csv(os.path.join(cfg.out, "compare.csv"), ",".join(header),

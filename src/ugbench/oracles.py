@@ -40,6 +40,11 @@ class OracleConfig:
             raise ValueError(
                 f"batch_size must be an integer >= 1, got {self.batch_size!r}")
 
+    @property
+    def is_exact(self):
+        """The one exactness rule: a Gaussian of sigma 0 draws no noise."""
+        return self.kind == "exact" or (self.kind == "gaussian" and self.sigma == 0.0)
+
 
 def make_rng(seed):
     return np.random.Generator(np.random.Philox(seed))
@@ -69,7 +74,7 @@ class _LaneOracle:
                              "objective with _lanes")
         self.grads, self.calls = grads, 0
         lanes, n_rows, batch_size = obj._lanes, obj.n_rows, cfg.batch_size
-        if oracles[0].is_exact:
+        if cfg.is_exact:
             self._sample = lanes.grad
         elif cfg.kind == "gaussian":
             scale = _noise_scale(obj.metric, cfg.sigma)
@@ -108,9 +113,9 @@ class Oracle:
         self.obj = obj
         self.cfg = cfg = cfg if cfg is not None else OracleConfig()
         # an exact oracle (sigma 0 too) never draws, so it seeds no generator
-        self.rng = None if self.is_exact else make_rng(cfg.seed)
+        self.rng = None if cfg.is_exact else make_rng(cfg.seed)
         self.calls = 0
-        if self.is_exact:
+        if cfg.is_exact:
             self._sample = lambda x: obj.f_eval(x)[1]
         elif cfg.kind == "gaussian":
             dim, normal = obj.metric.dim, self.rng.standard_normal
@@ -132,9 +137,7 @@ class Oracle:
 
     @property
     def is_exact(self):
-        return self.cfg.kind == "exact" or (
-            self.cfg.kind == "gaussian" and self.cfg.sigma == 0.0
-        )
+        return self.cfg.is_exact
 
     def draw(self, x):
         g = self._sample(x)

@@ -173,13 +173,29 @@ class TestBadInputs:
         pytest.param("--data", spec, f"bad synthetic data spec {spec!r}; "
                      "expected synthetic:M:N[:SEED]", id=spec)
         for spec in ("synthetic:a:3", "synthetic:5:2:x", "synthetic:10",
-                     "synthetic:5:2:0:1")
+                     "synthetic:5:2:0:1", "synthetic:0:3", "synthetic:3:0",
+                     "synthetic:5:3:-1")
     ])
     def test_bad_spec_names_its_grammar(self, tmp_path, capsys, flag, spec,
                                         expected):
         args = ["--data", "synthetic:5:2:0", flag, spec]
         assert main(["run", *args, "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
         assert capsys.readouterr().err == f"ugbench: {expected}\n"
+
+    @pytest.mark.parametrize("args, config", [
+        (["--seeds=-1"], ""), (["--seeds=-1", "--oracle", "gaussian:1"], ""),
+        (["--seeds", "0,-2"], ""), ([], "seeds = 3, -1\n")],
+        ids=["exact", "gaussian", "list", "file"])
+    def test_negative_seed_rejected_before_output(self, tmp_path, capsys,
+                                                   args, config):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgfile), *SMALL, *args,
+                   "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("ugbench: seeds must be ")
 
     def test_nonpositive_diameter(self, tmp_path):
         rc = main(["run", *SMALL, "--D", "-1", "--out", str(tmp_path)])
@@ -198,6 +214,35 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("command, args", BAD_SPECS)
     def test_bad_spec_rejected_before_output(self, tmp_path, command, args):
+        out = tmp_path / "out"
+        rc = main([command, *SMALL, *args, "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, args", BAD_SPECS + [
+        pytest.param(command, _spec_args(command, "--solver", solver)
+                     + ["--oracle", "gaussian:0.5"],
+                     id=f"{command}-{solver}-needs-an-exact-oracle")
+        for command in ("run", "sweep", "compare")
+        for solver in ("ugm", "usfgm:deterministic")
+    ] + [
+        # each beside a data file that does not exist
+        pytest.param(command, _spec_args(command, flag, spec) + extra
+                     + ["--data", "absent.libsvm"], id=f"{command}-probe{flag}")
+        for command in ("run", "sweep", "compare")
+        for flag, spec, extra in (
+            ("--problem", "bogus", []), ("--oracle", "bogus", []),
+            ("--solver", "ugm", ["--oracle", "gaussian:1"]))
+    ] + [
+        pytest.param(command, ["--seeds=-1"], id=f"{command}-negative-seed")
+        for command in ("run", "sweep", "compare")
+    ])
+    def test_bad_flag_reads_no_data(self, tmp_path, monkeypatch, command,
+                                    args):
+        # every error that depends only on the flags comes before the data
+        def forbidden(cfg):
+            pytest.fail("a bad flag must be rejected before the data is read")
+        monkeypatch.setattr("ugbench.cli.load_dataset", forbidden)
         out = tmp_path / "out"
         rc = main([command, *SMALL, *args, "--out", str(out)])
         assert rc == EXIT_BAD_CONFIG

@@ -38,6 +38,17 @@ def test_gaussian_sigma_zero_is_exact(ls_problem):
     )
 
 
+@pytest.mark.parametrize("cfg, exact", [
+    (OracleConfig(), True), (OracleConfig(kind="gaussian", sigma=0.0), True),
+    (OracleConfig(kind="gaussian", sigma=0.5), False),
+    (OracleConfig(kind="minibatch", batch_size=1), False)])
+def test_one_exactness_rule(ls_problem, cfg, exact):
+    # the CLI checks a config's exactness before any oracle is built
+    oracle = Oracle(ls_problem[0], cfg)
+    assert cfg.is_exact is oracle.is_exact is exact
+    assert (oracle.rng is None) is exact
+
+
 def test_gaussian_reproducible_given_seed(ls_problem):
     obj, _ = ls_problem
     cfg = OracleConfig(kind="gaussian", sigma=0.7, seed=9)
