@@ -273,22 +273,16 @@ def _prepare(cfg, solves):
 _LANE_ENTRIES = ("run_usgm", "run_adagrad_norm")
 
 
-def _map_jobs(cfg, obj, solve, oracles, grads=None):
-    """The trace of solve on each seed's oracle; grads, if a list, receives
-    the gradients the first seed's oracle draws.
+def _map_jobs(cfg, obj, solve, oracles):
+    """The trace of solve on each seed's oracle.
 
     Several seeds of usgm and adagrad run as the lanes of one pass
     (solvers._run_lanes), which needs what _prepare builds: oracles of one
-    spec on a built-in objective.  Other solves run seed by seed, all in
-    the calling thread: threads hold the interpreter lock between numpy
-    calls and, at large n, compete for BLAS.
+    spec on a built-in objective.  Other solves run seed by seed.
     """
     if solve.entry in _LANE_ENTRIES and len(oracles) > 1:
         return [trace for _, trace in solvers._run_lanes(
-            obj, oracles, cfg.max_iters, cfg.trace_every, grads=grads,
-            **solve.kwargs)]
-    if grads is not None:
-        _record(oracles[0], grads)
+            obj, oracles, cfg.max_iters, cfg.trace_every, **solve.kwargs)]
     return [solve(obj, oracle, cfg.max_iters, cfg.trace_every)[1]
             for oracle in oracles]
 
@@ -335,29 +329,22 @@ def cmd_sweep(cfg):
     return 0
 
 
-def _record(oracle, grads):
-    """Make oracle append every gradient it draws to grads."""
-    draw = oracle.draw
-
-    def recording_draw(x):
-        g = draw(x)
-        grads.append(g)
-        return g
-    oracle.draw = recording_draw
-
-
 def cmd_compare(cfg):
     specs = cfg.solvers or (cfg.solver,)
     if len(specs) < 2:
         raise ConfigError("compare needs at least two solvers")
     solves = [parse_solver(spec, cfg.D) for spec in specs]
+    # one spec twice would give two columns one header
+    if len(set(specs)) < len(specs):
+        raise ConfigError(
+            f"compare needs distinct solvers, got {','.join(specs)}")
     obj, oracles = _prepare(cfg, list(zip(specs, solves)))
     usgm, grads, recorded = parse_solver("usgm", cfg.D), None, None
     if usgm in solves and parse_solver("adagrad", cfg.D) in solves:
-        grads, recorded = [], solves.index(usgm)
-    traces = [_map_jobs(cfg, obj, solve, seed_oracles,
-                        grads if i == recorded else None)
-              for i, (solve, seed_oracles) in enumerate(zip(solves, oracles))]
+        recorded = solves.index(usgm)
+        grads = oracles[recorded][0].grads = []
+    traces = [_map_jobs(cfg, obj, solve, seed_oracles)
+              for solve, seed_oracles in zip(solves, oracles)]
     columns = []
     for per_seed in traces:
         # the mean over seeds, taken where some seed has a value: nanmean

@@ -58,21 +58,21 @@ def _noise_scale(metric, sigma):
 class _LaneOracle:
     """Oracle's draw and calls over lanes: draw(X) returns the S x n
     gradients that oracles[s] would draw at X[s], bit for bit, from the
-    objective's _lanes.  grads, if a list, receives lane 0's.
+    objective's _lanes, and records lane 0's where oracles[0].grads does.
 
     The oracles must be built-in ones on obj, of one configuration apart
     from the seed.  Each lane draws from its own oracle's generator, so the
     noise is that of one-seed runs.
     """
 
-    def __init__(self, obj, oracles, grads=None):
+    def __init__(self, obj, oracles):
         cfg = replace(oracles[0].cfg, seed=0)
         if obj._lanes is None or any(type(o) is not Oracle or o.obj is not obj
                                      or replace(o.cfg, seed=0) != cfg
                                      for o in oracles):
             raise ValueError("lanes need built-in oracles of one kind on an "
                              "objective with _lanes")
-        self.grads, self.calls = grads, 0
+        self.grads, self.calls = oracles[0].grads, 0
         lanes, n_rows, batch_size = obj._lanes, obj.n_rows, cfg.batch_size
         if cfg.is_exact:
             self._sample = lanes.grad
@@ -102,7 +102,9 @@ class _LaneOracle:
 
 class Oracle:
     """Stateful sampler for one solver run: draw(x) returns a gradient
-    sample at x and calls counts the draws made.
+    sample at x and calls counts the draws made.  grads, if set to a list,
+    receives each gradient draw returns; a draw that raises is neither
+    recorded nor counted.
 
     The sampler for cfg.kind is checked and bound once, here, with the
     objective's f_eval and row_grad looked up at each draw; draw takes a
@@ -114,7 +116,7 @@ class Oracle:
         self.cfg = cfg = cfg if cfg is not None else OracleConfig()
         # an exact oracle (sigma 0 too) never draws, so it seeds no generator
         self.rng = None if cfg.is_exact else make_rng(cfg.seed)
-        self.calls = 0
+        self.calls, self.grads = 0, None
         if cfg.is_exact:
             self._sample = lambda x: obj.f_eval(x)[1]
         elif cfg.kind == "gaussian":
@@ -141,5 +143,7 @@ class Oracle:
 
     def draw(self, x):
         g = self._sample(x)
+        if self.grads is not None:
+            self.grads.append(g)
         self.calls += 1
         return g

@@ -17,7 +17,8 @@ the finiteness of beta and H (balance_update).
 USGM and AdaGrad share one step, _stochastic_step, which differs only in
 the next H.  _run_lanes runs seeds of either as the lanes of one pass
 through _run too: the same step, built on the lane kernels over an S x n
-state, gives each lane the bits of its one-seed solve.
+state, gives each lane the bits of its one-seed solve and its oracle that
+solve's calls; the first oracle's grads, if a list, records lane 0's draws.
 """
 
 import math
@@ -334,13 +335,9 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
         f_y, w_y = at_y(zy)
         g_y = w_y if mat is None else mat_T @ w_y
         v_next = _prox_step(a * g_y, v, H, domain, metric)
-        if mat is None:
-            zv_next = v_next
-            x_next = zx_next = (A_k * zx + a * v_next) / A_next
-        else:
-            zv_next = mat @ v_next
-            zx_next = (A_k * zx + a * zv_next) / A_next
-            x_next = (A_k * x + a * v_next) / A_next
+        zv_next = v_next if mat is None else mat @ v_next
+        zx_next = (A_k * zx + a * zv_next) / A_next
+        x_next = zx_next if mat is None else (A_k * x + a * v_next) / A_next
         r = _norm(b, v_next - v)
         f_next, w_next = at_next(zx_next)
         if deterministic:
@@ -496,7 +493,7 @@ def _lane_adagrad_coefficient(b, D, gamma_variant, S):
 
 
 def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
-               gamma_variant=None, grads=None):
+               gamma_variant=None):
     """run_usgm, or run_adagrad_norm if gamma_variant is set, once per
     oracle, as the lanes of one pass.
 
@@ -505,14 +502,14 @@ def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
     each lane draws from its own oracle's generator, so lane s returns the
     (x, trace) of the one-seed solve on oracles[s] bit for bit, apart from
     wall_time_s, which is the pass's clock; a failed check raises the
-    one-seed error of the first lane that fails it.  grads, if a list,
-    receives the gradients lane 0 draws.  The oracles' calls advance as
-    their draws would.  Returns one (x, trace) per oracle.
+    one-seed error of the first lane that fails it.  The oracles' calls
+    advance as their draws would, and oracles[0].grads, if a list, receives
+    lane 0's gradients.  Returns one (x, trace) per oracle.
     """
     D = _diameter(obj, D)
     S = len(oracles)
     X = np.tile(_start_point(obj, None, max_iters, trace_every), (S, 1))
-    lanes = _LaneOracle(obj, oracles, grads)
+    lanes = _LaneOracle(obj, oracles)
     step = _stochastic_step(obj, lanes, D, X, gamma_variant)
     X, records = _run(obj._lanes.value, step, X, max_iters, (), trace_every,
                       True)

@@ -15,6 +15,7 @@ from ugbench.cli import (
     RunConfig,
     load_dataset,
     main,
+    make_oracle_config,
     make_problem,
     parse_config_file,
     parse_solver,
@@ -23,7 +24,7 @@ from ugbench.cli import (
 from ugbench.dataio import synth_least_squares
 from ugbench.oracles import Oracle, OracleConfig
 from ugbench.problems import p_power_f
-from ugbench.solvers import run_ugm
+from ugbench.solvers import _adagrad_coefficient, run_ugm, run_usgm
 
 
 def read_csv(path):
@@ -304,6 +305,26 @@ class TestBadInputs:
         assert not out.exists()
         assert capsys.readouterr().err == f"ugbench: {expected.value}\n"
 
+    @pytest.mark.parametrize("args, config", [
+        (["--solvers", "usgm,usgm"], ""),
+        (["--solvers", "ugm,adagrad,ugm"], ""),
+        ([], "solvers = usgm, usgm\n")], ids=["flag", "flag-three", "file"])
+    def test_repeated_compare_solver_rejected(self, tmp_path, monkeypatch,
+                                              capsys, args, config):
+        # one spec twice would write two columns under one header
+        def forbidden(cfg):
+            pytest.fail("a repeated solver must be rejected before the data")
+        monkeypatch.setattr("ugbench.cli.load_dataset", forbidden)
+        cfgfile = tmp_path / "compare.cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / "out"
+        rc = main(["compare", "--config", str(cfgfile), *SMALL, *args,
+                   "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "ugbench: compare needs distinct solvers, got ")
+
     def test_missing_data_file(self, tmp_path):
         rc = main(["run", "--data", str(tmp_path / "absent.libsvm"),
                    "--out", str(tmp_path)])
@@ -531,6 +552,40 @@ class TestCompare:
         rc = main(["compare", "--solvers", "ugm",
                    "--data", "synthetic:10:4:0", "--out", str(tmp_path)])
         assert rc == EXIT_BAD_CONFIG
+
+    def test_two_spellings_of_one_solve_are_distinct(self, tmp_path):
+        rc = main(["compare", "--solvers", "adagrad,adagrad:grad_diff",
+                   "--oracle", "gaussian:0.5", *SMALL, "--out", str(tmp_path)])
+        assert rc == 0
+        rows = read_csv(tmp_path / "compare.csv")
+        assert rows[0] == ["k", "F_adagrad", "F_adagrad-grad_diff"]
+        assert all(row[1] == row[2] for row in rows[1:])
+
+    @pytest.mark.parametrize("oracle", ["exact", "gaussian:1.0", "minibatch:4"])
+    def test_adagrad_domination_uses_usgm_seed_0_draws(self, tmp_path, oracle):
+        # the column is AdaGrad's coefficient on the gradients USGM draws on
+        # seed 0, minus USGM's H: the same bytes whether seed 0 runs alone
+        # or as lane 0 of a pass, and the same as the library's run_usgm
+        common = ["compare", "--solvers", "usgm,adagrad", "--oracle", oracle,
+                  *SMALL]
+        columns = []
+        for seeds in ("0", "0,1,2"):
+            out = tmp_path / seeds
+            assert main([*common, "--seeds", seeds, "--out", str(out)]) == 0
+            columns.append([(row[0], row[-1])
+                            for row in read_csv(out / "compare.csv")])
+        assert columns[0] == columns[1]
+        assert columns[0][0] == ("k", "adagrad_domination")
+        cfg = RunConfig(data="synthetic:20:8:0")
+        obj = make_problem(cfg, load_dataset(cfg))
+        one = Oracle(obj, make_oracle_config(oracle, 0))
+        one.grads = []
+        _, trace = run_usgm(obj, one, D=cfg.D, max_iters=200)
+        coefficient = _adagrad_coefficient(obj.metric.b_diag, cfg.D,
+                                           "grad_diff")
+        assert [d for _, d in columns[0][1:]] == [
+            f"{coefficient(g, g_next) - rec.H:.17g}"
+            for g, g_next, rec in zip(one.grads, one.grads[1:], trace)]
 
     def test_adagrad_domination_column(self, tmp_path):
         out = str(tmp_path)

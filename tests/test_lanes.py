@@ -127,21 +127,25 @@ def test_lanes_below_the_normal_range(method, oracle):
 
 
 def test_lanes_hand_lane_0_gradients():
+    """A lane pass records lane 0's draws in oracles[0].grads, as the
+    one-seed solve records its own."""
     obj = make_objective("least-squares", "off-centre")
-    cfgs = [OracleConfig(kind="gaussian", sigma=1.0, seed=s) for s in (4, 5)]
-    grads = []
-    _run_lanes(obj, [Oracle(obj, cfg) for cfg in cfgs], 20, 1, grads=grads)
-    one = Oracle(obj, cfgs[0])
-    draw, recorded = one.draw, []
-
-    def recording_draw(x):
-        g = draw(x)
-        recorded.append(g)
-        return g
-    one.draw = recording_draw
-    run_usgm(obj, one, max_iters=20)
-    assert len(grads) == len(recorded) == 21
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, recorded))
+    for oracle in ("exact", "gaussian-1", "minibatch-8"):
+        cfgs = [OracleConfig(seed=s, **ORACLES[oracle]) for s in (4, 5)]
+        for gamma_variant in METHODS.values():
+            oracles = [Oracle(obj, cfg) for cfg in cfgs]
+            one = Oracle(obj, cfgs[0])
+            oracles[0].grads, one.grads = [], []
+            _run_lanes(obj, oracles, 20, 1, gamma_variant=gamma_variant)
+            if gamma_variant is None:
+                run_usgm(obj, one, max_iters=20)
+            else:
+                run_adagrad_norm(obj, one, max_iters=20,
+                                 gamma_variant=gamma_variant)
+            assert oracles[1].grads is None
+            assert len(oracles[0].grads) == len(one.grads) == 21
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(oracles[0].grads, one.grads))
 
 
 @pytest.mark.parametrize("method", METHODS)

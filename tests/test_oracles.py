@@ -118,6 +118,25 @@ def test_oracle_calls_count_each_draw(ls_problem):
     assert oracle.calls == 20
 
 
+@pytest.mark.parametrize("cfg", [
+    OracleConfig(), OracleConfig(kind="gaussian", sigma=0.3, seed=5),
+    OracleConfig(kind="minibatch", batch_size=3, seed=5)])
+def test_oracle_grads_records_each_draw(ls_problem, cfg):
+    obj, _ = ls_problem
+    oracle = Oracle(obj, cfg)
+    assert oracle.grads is None
+    oracle.draw(np.zeros(5))
+    assert oracle.grads is None
+    oracle.grads = []
+    drawn = [oracle.draw(np.full(5, 0.1 * i)) for i in range(6)]
+    assert len(oracle.grads) == len(drawn) == 6
+    assert all(g is d for g, d in zip(oracle.grads, drawn))
+    # a draw that fails is neither recorded nor counted
+    with pytest.raises(ValueError):
+        oracle.draw(np.zeros(4))
+    assert len(oracle.grads) == 6 and oracle.calls == 7
+
+
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(kind="weird")
