@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -122,11 +122,8 @@ def load_dataset(cfg):
                               "synthetic:M:N[:SEED]") from None
         ds, _ = dataio.synth_least_squares(m, n, data_seed)
         if cfg.problem == "logistic":
-            ds = dataio.Dataset(
-                features=ds.features,
-                labels=np.where(ds.labels >= np.median(ds.labels), 1.0, -1.0),
-                source=ds.source,
-            )
+            ds = replace(ds, labels=np.where(
+                ds.labels >= np.median(ds.labels), 1.0, -1.0))
         return ds
     with open(spec) as fh:
         return dataio.parse_libsvm(
@@ -329,6 +326,19 @@ def cmd_sweep(cfg):
     return 0
 
 
+class _Domination:
+    """Oracle.grads for compare: append(g) appends coefficient(previous g,
+    g), AdaGrad's H', to h_prime and keeps g alone, not every draw."""
+
+    def __init__(self, coefficient):
+        self.coefficient, self.g, self.h_prime = coefficient, None, []
+
+    def append(self, g):
+        if self.g is not None:
+            self.h_prime.append(self.coefficient(self.g, g))
+        self.g = g
+
+
 def cmd_compare(cfg):
     specs = cfg.solvers or (cfg.solver,)
     if len(specs) < 2:
@@ -339,10 +349,12 @@ def cmd_compare(cfg):
         raise ConfigError(
             f"compare needs distinct solvers, got {','.join(specs)}")
     obj, oracles = _prepare(cfg, list(zip(specs, solves)))
-    usgm, grads, recorded = parse_solver("usgm", cfg.D), None, None
+    usgm, domination, recorded = parse_solver("usgm", cfg.D), None, None
     if usgm in solves and parse_solver("adagrad", cfg.D) in solves:
+        # AdaGrad's coefficient on the gradients USGM draws on the first seed
         recorded = solves.index(usgm)
-        grads = oracles[recorded][0].grads = []
+        domination = oracles[recorded][0].grads = _Domination(
+            solvers._adagrad_coefficient(obj.metric.b_diag, cfg.D, "grad_diff"))
     traces = [_map_jobs(cfg, obj, solve, seed_oracles)
               for solve, seed_oracles in zip(solves, oracles)]
     columns = []
@@ -354,13 +366,9 @@ def cmd_compare(cfg):
         columns.append(np.full(F.shape[1], math.nan))
         columns[-1][valued] = np.nanmean(F[:, valued], axis=0)
     header = ["k"] + [f"F_{_solver_tag(spec)}" for spec in specs]
-    if grads is not None:
-        # AdaGrad's coefficient on the gradients USGM drew on the first seed
-        coefficient = solvers._adagrad_coefficient(
-            obj.metric.b_diag, cfg.D, "grad_diff")
-        h_prime = [coefficient(g, g_next) for g, g_next in zip(grads, grads[1:])]
+    if domination is not None:
         H = [rec.H for rec in traces[recorded][0]]
-        columns.append(np.asarray(h_prime) - np.asarray(H))
+        columns.append(np.asarray(domination.h_prime) - np.asarray(H))
         header.append("adagrad_domination")
     _write_csv(os.path.join(cfg.out, "compare.csv"), ",".join(header),
                ([str(i + 1)] + [_fmt(c[i]) for c in columns]

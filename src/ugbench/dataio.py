@@ -90,7 +90,11 @@ def parse_libsvm(stream, classification=False, source=""):
         raise LibsvmParseError("no records")
     if max_index == 0:
         raise LibsvmParseError("no features: every record has only a label")
-    features = np.zeros((len(rows), max_index))
+    try:
+        features = np.zeros((len(rows), max_index))
+    except (MemoryError, ValueError):  # numpy's "too big" is a ValueError
+        raise LibsvmParseError(f"cannot allocate the {len(rows)} x "
+                               f"{max_index} feature matrix") from None
     for i, row in enumerate(rows.values()):
         for idx, val in row.items():
             features[i, idx - 1] = val

@@ -57,8 +57,8 @@ def _noise_scale(metric, sigma):
 
 class _LaneOracle:
     """Oracle's draw and calls over lanes: draw(X) returns the S x n
-    gradients that oracles[s] would draw at X[s], bit for bit, from the
-    objective's _lanes, and records lane 0's where oracles[0].grads does.
+    gradients that oracles[s] would draw at X[s], bit for bit, from
+    _lanes and row_grad, and records lane 0's where oracles[0].grads does.
 
     The oracles must be built-in ones on obj, of one configuration apart
     from the seed.  Each lane draws from its own oracle's generator, so the
@@ -88,7 +88,7 @@ class _LaneOracle:
             self._sample = sample
         else:
             draws = [o.rng.integers for o in oracles]
-            self._sample = lambda X: np.add.reduce(lanes.row_grad(X, np.array([
+            self._sample = lambda X: np.add.reduce(obj.row_grad(X, np.array([
                 integers(0, n_rows, size=batch_size) for integers in draws])),
                 axis=1) / batch_size
 

@@ -272,21 +272,23 @@ class _Lanes(NamedTuple):
 
     Each lane's result is bit for bit what the one-point callable returns
     at its row: value(X) -> S values of value, grad(X) -> S x n
-    subgradients of f_eval, row_grad(X, IDX) -> S x B x n, whose slice s is
-    row_grad(X[s], IDX[s]).
+    subgradients of f_eval.  The objective's row_grad serves lanes itself:
+    row_grad(X, IDX) -> S x B x n, whose slice s is row_grad(X[s], IDX[s]).
     """
 
     value: Callable
     grad: Callable
-    row_grad: Callable
 
 
 def _stacked(M, X):
-    """M @ x for each row x of X, with M one matrix or one per row.
+    """M @ X at one point X, else M @ x for each row x of X, with M one
+    matrix or one per row.
 
     matmul calls gemv once per row, so each lane has the bits of M @ x;
     the gemm X @ M.T rounds differently.
     """
+    if X.ndim == 1:
+        return M @ X
     return np.matmul(M, X[..., None])[..., 0]
 
 
@@ -316,11 +318,7 @@ def _loss_objective(A, loss, row_weights, domain, metric, label, f_eval=None,
         def grad(X):
             return _stacked(A_T, loss(_stacked(A, X))[1])
 
-    def row_grad(x, idx):
-        rows = A[idx]
-        return row_weights(rows @ x, idx)[:, None] * rows
-
-    def lane_row_grad(X, IDX):
+    def row_grad(X, IDX):
         rows = A[IDX]
         return row_weights(_stacked(rows, X), IDX)[..., None] * rows
 
@@ -329,7 +327,7 @@ def _loss_objective(A, loss, row_weights, domain, metric, label, f_eval=None,
         loss=point_loss,
         domain=BallDomain(np.zeros(n), 1.0) if domain is None else domain,
         metric=MetricSpace.euclidean(n) if metric is None else metric)
-    obj._lanes = _Lanes(lambda X: loss(_stacked(A, X))[0], grad, lane_row_grad)
+    obj._lanes = _Lanes(lambda X: loss(_stacked(A, X))[0], grad)
     return obj
 
 

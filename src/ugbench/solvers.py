@@ -331,12 +331,13 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
         nonlocal x, v, zx, zv, A_k, H
         a = float(k)
         A_next = A_k + a
-        zy = (A_k * zx + a * zv) / A_next
+        zx_part = A_k * zx
+        zy = (zx_part + a * zv) / A_next
         f_y, w_y = at_y(zy)
         g_y = w_y if mat is None else mat_T @ w_y
         v_next = _prox_step(a * g_y, v, H, domain, metric)
         zv_next = v_next if mat is None else mat @ v_next
-        zx_next = (A_k * zx + a * zv_next) / A_next
+        zx_next = (zx_part + a * zv_next) / A_next
         x_next = zx_next if mat is None else (A_k * x + a * v_next) / A_next
         r = _norm(b, v_next - v)
         f_next, w_next = at_next(zx_next)
@@ -445,22 +446,21 @@ def _lane_norms(b, X, dual=False):
 
 def _lane_prox(C, X, H, domain, metric):
     """_prox_step(C[s], X[s], H[s]) for each lane s."""
-    if not np.minimum.reduce(H) > 0:
-        return np.array([_prox_step(c, x, h, domain, metric)
-                         for c, x, h in zip(C, X, H.tolist())])
-    center, radius = domain.center, domain.radius
-    Y = X - C / (H[:, None] * metric.b_diag)
-    d = Y - center
-    r = _lane_norms(metric.b_diag, d)
-    r_max = np.maximum.reduce(r)
-    if r_max <= radius:
-        return Y
-    if not r_max < math.inf:  # also nan: _project_ball raises for the lane
-        _project_ball(Y[np.flatnonzero(~(r < math.inf))[0]], domain, metric)
-    # only lanes outside the ball are projected
-    out = r > radius
-    scale = np.divide(radius, r, out=np.ones_like(r), where=out)
-    return np.where(out[:, None], center + scale[:, None] * d, Y)
+    if np.minimum.reduce(H) > 0:
+        center, radius = domain.center, domain.radius
+        Y = X - C / (H[:, None] * metric.b_diag)
+        d = Y - center
+        r = _lane_norms(metric.b_diag, d)
+        r_max = np.maximum.reduce(r)
+        if r_max <= radius:
+            return Y
+        if r_max < math.inf:  # nan fails it; project the lanes outside
+            out = r > radius
+            scale = np.divide(radius, r, out=np.ones_like(r), where=out)
+            return np.where(out[:, None], center + scale[:, None] * d, Y)
+    # H = 0 or a non-finite distance: lane by lane, _prox_step raises its error
+    return np.array([_prox_step(c, x, h, domain, metric)
+                     for c, x, h in zip(C, X, H.tolist())])
 
 
 def _lane_balance(H, beta, rho, omega):

@@ -3,7 +3,8 @@ import pytest
 
 from helpers import linear_objective
 from ugbench.certificate import CertificateAccumulator, certificate_gap, certificate_update
-from ugbench.metric import MetricSpace, dual_norm, pairing
+from ugbench.metric import (DimensionMismatchError, MetricSpace, dual_norm,
+                             pairing)
 from ugbench.problems import BallDomain, least_squares_f, sample_in_ball
 from ugbench.solvers import run_ugm
 
@@ -23,6 +24,13 @@ def test_first_update_accumulates_linearization():
     assert acc.sum_affine_const == pytest.approx(3.0 - pairing(g0, x0))
     assert acc.best_F == 3.0
     np.testing.assert_array_equal(acc.best_x, x0)
+
+
+def test_update_rejects_mismatched_shapes():
+    acc = CertificateAccumulator()
+    with pytest.raises(DimensionMismatchError, match=r"shapes \(3,\) and \(2,\)"):
+        certificate_update(acc, [0.5, -0.5], [1.0, 2.0, 3.0], 3.0, 3.0)
+    assert acc.k == 0 and acc.sum_g is None
 
 
 def test_identical_points_average_to_single_linearization(ball_2d):

@@ -1,6 +1,7 @@
 import csv
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ugbench.cli import (
 )
 from ugbench.dataio import synth_least_squares
 from ugbench.oracles import Oracle, OracleConfig
-from ugbench.problems import p_power_f
+from ugbench.problems import logistic_f, p_power_f
 from ugbench.solvers import _adagrad_coefficient, run_ugm, run_usgm
 
 
@@ -109,6 +110,24 @@ class TestRun:
         ds, _ = synth_least_squares(20, 8, 3)
         _, trace = run_ugm(p_power_f(ds.features, ds.labels, 1.5),
                            max_iters=200)
+        expected = tmp_path / "expected.csv"
+        write_trace(expected, trace)
+        assert ([r[:7] for r in read_csv(tmp_path / "trace_ugm_0.csv")]
+                == [r[:7] for r in read_csv(expected)])
+
+    def test_logistic_on_synthetic_data_takes_pm1_labels(self, tmp_path):
+        # the synthetic least-squares targets, split at their median
+        rc = main(["run", "--problem", "logistic", "--solver", "ugm", *SMALL,
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        ds = load_dataset(RunConfig(problem="logistic", data="synthetic:20:8:0"))
+        ls, _ = synth_least_squares(20, 8, 0)
+        assert set(ds.labels) == {-1.0, 1.0}
+        np.testing.assert_array_equal(
+            ds.labels, np.where(ls.labels >= np.median(ls.labels), 1.0, -1.0))
+        np.testing.assert_array_equal(ds.features, ls.features)
+        assert ds.source == ls.source
+        _, trace = run_ugm(logistic_f(ds.features, ds.labels), max_iters=200)
         expected = tmp_path / "expected.csv"
         write_trace(expected, trace)
         assert ([r[:7] for r in read_csv(tmp_path / "trace_ugm_0.csv")]
@@ -353,6 +372,21 @@ class TestBadInputs:
         assert rc == EXIT_DATA_ERROR
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    @pytest.mark.parametrize("index", [2**62, 10**30])
+    def test_unallocatable_libsvm_matrix_is_a_data_error(
+            self, tmp_path, capsys, command, index):
+        # numpy rejects these shapes whatever the machine's memory
+        path = tmp_path / "wide.libsvm"
+        path.write_text(f"1 1:1\n-1 {index}:1\n")
+        out = tmp_path / "out"
+        extra = ["--solvers", "ugm,usgm"] if command == "compare" else []
+        rc = main([command, "--data", str(path), *extra, "--out", str(out)])
+        assert rc == EXIT_DATA_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"ugbench: cannot allocate the 2 x {index} feature matrix\n")
+
 
 class TestConfigFile:
     def test_file_values_used_and_flags_override(self, tmp_path):
@@ -586,6 +620,27 @@ class TestCompare:
         assert [d for _, d in columns[0][1:]] == [
             f"{coefficient(g, g_next) - rec.H:.17g}"
             for g, g_next, rec in zip(one.grads, one.grads[1:], trace)]
+
+    def test_adagrad_domination_keeps_one_draw(self, tmp_path):
+        # the column needs each consecutive pair of USGM's draws once, so
+        # its record holds a few gradients, not one per iteration: the
+        # peak traced allocation exceeds that of a compare without the
+        # column by less than 10 gradients of 2000 floats.  The warm-up
+        # keeps first-call allocations out of the first peak
+        common = ["--oracle", "gaussian:1.0", "--data", "synthetic:20:2000:0"]
+        assert main(["compare", "--solvers", "usgm,adagrad", *common,
+                     "--iters", "3", "--out", str(tmp_path / "warm-up")]) == 0
+        peaks = []
+        for solvers in ("usgm,adagrad", "usgm,adagrad:grad_norm"):
+            tracemalloc.start()
+            try:
+                assert main(["compare", "--solvers", solvers, *common,
+                             "--iters", "300", "--out",
+                             str(tmp_path / solvers)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] - peaks[1] < 10 * 2000 * 8
 
     def test_adagrad_domination_column(self, tmp_path):
         out = str(tmp_path)

@@ -68,6 +68,14 @@ class TestParse:
         with pytest.raises(LibsvmParseError, match="strictly increasing"):
             parse_libsvm("1 3:1 1:2\n")
 
+    @pytest.mark.parametrize("index", [2**62, 10**30])
+    def test_unallocatable_matrix_rejected(self, index):
+        # numpy raises ValueError for these shapes, MemoryError for a shape
+        # it accepts but cannot allocate
+        with pytest.raises(LibsvmParseError, match=(
+                f"^cannot allocate the 2 x {index} feature matrix$")):
+            parse_libsvm(f"1 1:1\n-1 {index}:1\n")
+
     def test_classification_remaps_01_labels(self):
         ds = parse_libsvm("0 1:1\n1 1:2\n", classification=True)
         np.testing.assert_array_equal(ds.labels, [-1.0, 1.0])

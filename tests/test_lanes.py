@@ -223,6 +223,28 @@ def test_non_finite_first_gradient_stops_lanes_as_one_seed(monkeypatch,
     assert str(lanes.value) == str(one.value)
 
 
+@pytest.mark.parametrize("variant", ["grad_diff", "grad_norm"])
+def test_infinite_draw_stops_adagrad_lanes_as_one_seed(monkeypatch, variant):
+    # lane 1's third draw has an infinite entry, which makes its H infinite;
+    # the next prox step, with every lane at H > 0, puts that lane's point
+    # at a nan distance from the centre.  Its inf / inf warns of an invalid
+    # value on both paths, so the warning is expected, not an error
+    make_rng = ugbench.oracles.make_rng
+    monkeypatch.setattr(ugbench.oracles, "make_rng", lambda seed: (
+        NanDraw(make_rng(seed), 3, math.inf) if seed == 1 else make_rng(seed)))
+    obj = make_objective("least-squares", "default")
+    cfgs = [OracleConfig(kind="gaussian", sigma=1.0, seed=s) for s in range(3)]
+    with (pytest.warns(RuntimeWarning, match="invalid value"),
+          pytest.raises(ValueError, match="non-finite distance nan") as one):
+        run_adagrad_norm(obj, Oracle(obj, cfgs[1]), gamma_variant=variant,
+                         max_iters=10)
+    with (pytest.warns(RuntimeWarning, match="invalid value"),
+          pytest.raises(ValueError) as lanes):
+        _run_lanes(obj, [Oracle(obj, cfg) for cfg in cfgs], 10, 1,
+                   gamma_variant=variant)
+    assert str(lanes.value) == str(one.value)
+
+
 def read_outputs(out):
     """Every file under out; trace and summary rows without wall time."""
     files = {}

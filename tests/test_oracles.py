@@ -6,7 +6,7 @@ import pytest
 import ugbench
 from ugbench.metric import dual_norm
 from ugbench.oracles import Oracle, OracleConfig
-from ugbench.problems import least_squares_f
+from ugbench.problems import CompositeObjective, least_squares_f
 
 
 @pytest.fixture
@@ -103,6 +103,14 @@ def test_minibatch_oversized_batch_rejected(ls_problem):
     cfg = OracleConfig(kind="minibatch", batch_size=obj.n_rows + 1, seed=0)
     with pytest.raises(ValueError):
         Oracle(obj, cfg)
+
+
+def test_minibatch_needs_row_gradients(ls_problem):
+    obj, _ = ls_problem
+    whole = CompositeObjective(obj.f_eval, obj.domain, obj.metric)
+    cfg = OracleConfig(kind="minibatch", batch_size=2, seed=0)
+    with pytest.raises(ValueError, match="does not decompose"):
+        Oracle(whole, cfg)
 
 
 def test_oracle_calls_count_each_draw(ls_problem):

@@ -314,7 +314,7 @@ def test_loss_of_A_x_gives_f_eval(make_obj):
         X = sample_in_ball(obj.domain, obj.metric, rng, size=3)
         IDX = rng.integers(0, obj.n_rows, size=(3, 5))
         values, grads = obj._lanes.value(X), obj._lanes.grad(X)
-        row_grads = obj._lanes.row_grad(X, IDX)
+        row_grads = obj.row_grad(X, IDX)
         for s, x in enumerate(X):
             f, g = obj.f_eval(x)
             value, w = obj.loss(obj.A @ x)

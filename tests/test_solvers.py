@@ -115,6 +115,26 @@ def ls_instance():
     return least_squares_f(A, A @ x_star)
 
 
+@pytest.mark.parametrize("convert", [
+    pytest.param(list, id="list"),
+    pytest.param(lambda g: g.astype(np.float32), id="float32")])
+def test_outside_subgradient_taken_as_float64(ls_instance, convert):
+    # what a user's f_eval returns is converted once, as np.asarray would
+    def f_eval(x):
+        f, g = ls_instance.f_eval(x)
+        return f, convert(g)
+
+    def as_float64(x):
+        f, g = f_eval(x)
+        return f, np.asarray(g, dtype=np.float64)
+
+    (x, trace), (x_64, trace_64) = [
+        run_usgm(CompositeObjective(f, ls_instance.domain, ls_instance.metric),
+                 max_iters=20) for f in (f_eval, as_float64)]
+    assert x.tobytes() == x_64.tobytes()
+    assert [rec[:7] for rec in trace] == [rec[:7] for rec in trace_64]
+
+
 class TestUgm:
     def test_linear_objective_converges_in_one_step(self):
         c = np.array([0.0, 2.0])
@@ -431,6 +451,11 @@ class TestAdagradNorm:
     def test_unknown_variant(self, ls_instance):
         with pytest.raises(ValueError):
             run_adagrad_norm(ls_instance, gamma_variant="classic", max_iters=2)
+
+    def test_no_variant_is_not_usgm(self, ls_instance):
+        # gamma_variant None selects USGM's rule in the shared step
+        with pytest.raises(ValueError, match="unknown gamma variant None"):
+            run_adagrad_norm(ls_instance, gamma_variant=None, max_iters=2)
 
     @pytest.mark.parametrize("scale", [1e-171, 1e-200, 1e-300])
     def test_tiny_gradients_give_positive_H(self, scale):
