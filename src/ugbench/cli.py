@@ -120,7 +120,11 @@ def load_dataset(cfg):
         except ValueError:
             raise ConfigError(f"bad synthetic data spec {spec!r}; expected "
                               "synthetic:M:N[:SEED]") from None
-        ds, _ = dataio.synth_least_squares(m, n, data_seed)
+        try:  # numpy's "too big" is a ValueError
+            ds, _ = dataio.synth_least_squares(m, n, data_seed)
+        except (MemoryError, ValueError):
+            raise ConfigError(f"cannot allocate the data of synthetic data "
+                              f"spec {spec!r}") from None
         if cfg.problem == "logistic":
             ds = replace(ds, labels=np.where(
                 ds.labels >= np.median(ds.labels), 1.0, -1.0))
@@ -317,8 +321,10 @@ def cmd_sweep(cfg):
                 trace[-1].F_value if trace else math.nan
                 for trace in _map_jobs(cfg, obj, solve, seed_oracles)])))
             for (param, value, solve), seed_oracles in zip(grid, oracles)]
-    # ties break toward the smaller parameter value, then the earlier row
-    best = min(range(len(rows)), key=lambda i: (rows[i][2], rows[i][1]))
+    # ties break toward the smaller parameter value, then the earlier row;
+    # a nan mean (--iters 0) ranks after every number
+    best = min(range(len(rows)), key=lambda i: (
+        (1, 0.0) if math.isnan(rows[i][2]) else (0, rows[i][2]), rows[i][1]))
     _write_csv(os.path.join(cfg.out, "sweep.csv"),
                "solver,param,value,mean_final_F,best",
                ([cfg.solver, param, _fmt(value), _fmt(F), str(int(i == best))]

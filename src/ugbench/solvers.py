@@ -71,9 +71,9 @@ def reg_max_bound(M, nu, H):
     """Closed form of max_{r >= 0} { M/(1+nu) r^(1+nu) - H/2 r^2 }."""
     if not 0.0 <= nu < 1.0:
         raise ValueError(f"nu must lie in [0, 1), got {nu}")
-    if H <= 0:
+    if not H > 0:  # written so that nan fails it, as in balance_update
         raise ValueError(f"H must be positive, got {H}")
-    if M < 0:
+    if not M >= 0:
         raise ValueError(f"M must be nonnegative, got {M}")
     return (1.0 - nu) / (2.0 * (1.0 + nu)) * M ** (2.0 / (1.0 - nu)) / H ** (
         (1.0 + nu) / (1.0 - nu)
@@ -254,37 +254,6 @@ def _stochastic_step(obj, oracle, D, x, gamma_variant=None):
     return step
 
 
-def _usfgm_evaluators(obj, oracle, deterministic, shape):
-    """(mat, at_y, at_next) for run_usfgm.
-
-    at_y and at_next map a point z to (f value or nan, w).  With mat set,
-    z = mat @ x and the gradient is mat.T @ w; with mat None, z = x and w
-    is the gradient, checked by _gradient.  Only a built-in exact oracle
-    (sigma 0 too) is bypassed; any other is drawn at every point, as
-    wrappers around it expect.
-    """
-    if type(oracle) is Oracle and oracle.is_exact:
-        if obj.A is not None:
-            return obj.A, obj.loss, obj.loss
-        f_eval = obj.f_eval
-
-        def at_point(z):
-            f, g = f_eval(z)
-            return f, _gradient(g, shape)
-        return None, at_point, at_point
-    if deterministic:
-        def at_y(z):
-            return obj.value(z), _gradient(oracle.draw(z), shape)
-
-        def at_next(z):
-            return obj.value(z), None
-        return None, at_y, at_next
-
-    def at_point(z):
-        return math.nan, _gradient(oracle.draw(z), shape)
-    return None, at_point, at_point
-
-
 def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
               surrogate_mode="stochastic_symmetrized", callbacks=(),
               x0=None, trace_every=1):
@@ -295,16 +264,19 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
     (deterministic_bregman; requires an exact oracle, gives better
     constants).
 
-    With the built-in exact oracle and an objective f(x) = loss(A x), the
-    loop carries z = A x and A v: A y and A x_next are the same convex
-    combinations of them as y and x_next are of x and v.  Both surrogates
-    pair w with differences of z, as <A.T w, d> = <w, A d>, so an iteration
-    makes two matrix-vector products in either mode, A @ v_next and
-    A.T @ w_y, and F(y), F(x_next) and the traced F come from the loss of
-    the carried products.
-    Other objectives run the same loop with z = x.  Noisy and user-supplied
-    oracles are drawn at y and x_next.  cum_oracle_calls counts the points
-    where f or its gradient is evaluated for the step: two per iteration.
+    One evaluator, at_point(z) -> (f value or nan, w), is chosen once.  As
+    in run_ugm, an exact oracle, built-in or not, is never drawn: f and
+    its gradient come from the objective.  With f(x) = loss(A x) (A and
+    loss both set, value's rule) the loop carries z = A x and A v: A y
+    and A x_next are the same convex combinations of them as y and x_next
+    are of x and v.  Both surrogates pair w with differences of z, as
+    <A.T w, d> = <w, A d>, so an iteration makes two matrix-vector
+    products in either mode, A @ v_next and A.T @ w_y, and F(y), F(x_next)
+    and the traced F come from the loss of the carried products.  Other
+    objectives run the same loop with z = x and w the gradient of f_eval.
+    Only a noisy oracle is drawn, at y and x_next.  cum_oracle_calls
+    counts the points where f or its gradient is evaluated for the step:
+    two per iteration.
     """
     if surrogate_mode not in ("stochastic_symmetrized", "deterministic_bregman"):
         raise ValueError(f"unknown surrogate mode {surrogate_mode!r}")
@@ -316,14 +288,23 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
     D = _diameter(obj, D)
     omega = D * D
     x = _start_point(obj, x0, max_iters, trace_every)
-    b = metric.b_diag
+    b, shape = metric.b_diag, x.shape
     v = x
-    mat, at_y, at_next = _usfgm_evaluators(obj, oracle, deterministic, x.shape)
-    if mat is None:
-        zx = zv = x
+    # with mat set, z = mat @ x and the gradient is mat.T @ w; with mat
+    # None, z = x and w is the gradient, checked by _gradient
+    mat = None
+    if not oracle.is_exact:
+        def at_point(z):
+            return math.nan, _gradient(oracle.draw(z), shape)
+    elif obj.A is not None and obj.loss is not None:
+        mat, mat_T, at_point = obj.A, obj.A.T, obj.loss
     else:
-        mat_T = mat.T
-        zx = zv = mat @ x
+        f_eval = obj.f_eval
+
+        def at_point(z):
+            f, g = f_eval(z)
+            return f, _gradient(g, shape)
+    zx = zv = x if mat is None else mat @ x
     H = 0.0
     A_k = 0.0
 
@@ -333,14 +314,14 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
         A_next = A_k + a
         zx_part = A_k * zx
         zy = (zx_part + a * zv) / A_next
-        f_y, w_y = at_y(zy)
+        f_y, w_y = at_point(zy)
         g_y = w_y if mat is None else mat_T @ w_y
         v_next = _prox_step(a * g_y, v, H, domain, metric)
         zv_next = v_next if mat is None else mat @ v_next
         zx_next = (zx_part + a * zv_next) / A_next
         x_next = zx_next if mat is None else (A_k * x + a * v_next) / A_next
         r = _norm(b, v_next - v)
-        f_next, w_next = at_next(zx_next)
+        f_next, w_next = at_point(zx_next)
         if deterministic:
             beta_hat = f_next - f_y - _pairing(w_y, zx_next - zy)
         else:

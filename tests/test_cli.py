@@ -388,6 +388,28 @@ class TestBadInputs:
             f"ugbench: cannot allocate the 2 x {index} feature matrix\n")
 
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    @pytest.mark.parametrize("spec, error", [
+        pytest.param(f"synthetic:1:{10**30}", None, id="too-big"),
+        pytest.param("synthetic:10:4", MemoryError, id="memory-error")])
+    def test_unallocatable_synthetic_spec_is_a_config_error(
+            self, tmp_path, monkeypatch, capsys, command, spec, error):
+        # numpy rejects a 10**30-vector whatever the machine's memory; a
+        # shape it accepts but cannot allocate raises MemoryError
+        if error is not None:
+            def synth(m, n, seed):
+                raise error()
+            monkeypatch.setattr("ugbench.dataio.synth_least_squares", synth)
+        out = tmp_path / "out"
+        extra = ["--solvers", "ugm,usgm"] if command == "compare" else []
+        rc = main([command, "--data", spec, *extra, "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"ugbench: cannot allocate the data of synthetic data spec "
+            f"{spec!r}\n")
+
+
 class TestConfigFile:
     def test_file_values_used_and_flags_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -516,6 +538,17 @@ class TestSweep:
         rows = read_csv(os.path.join(out, "sweep.csv"))
         assert [r[1] for r in rows[1:]] == ["D"] * 3
         assert [float(r[2]) for r in rows[1:]] == [4.0, 2.0, 1.0]
+
+    @pytest.mark.parametrize("solver, best", [("ugm", "5"),
+                                              ("sgd", "0.0001")])
+    def test_no_mean_marks_the_smallest_value(self, tmp_path, solver, best):
+        # with --iters 0 no grid point has a mean; the tie rule still holds
+        rc = main(["sweep", "--solver", solver, "--data", "synthetic:10:4:0",
+                   "--iters", "0", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = read_csv(os.path.join(tmp_path, "sweep.csv"))[1:]
+        assert all(r[3] == "" for r in rows)
+        assert [r[2] for r in rows if r[4] == "1"] == [best]
 
     def test_single_point_grid(self, tmp_path):
         out = str(tmp_path)

@@ -17,6 +17,7 @@ from ugbench.problems import (
     prox_step,
     sample_in_ball,
 )
+from ugbench.solvers import run_ugm, run_usfgm
 
 
 @pytest.fixture
@@ -343,6 +344,27 @@ def test_value_is_one_product_with_f_eval_bits(build):
         assert float(value).hex() == float(obj.f_eval(x)[0]).hex()
 
 
+# building the np.matrix input itself warns that the subclass is deprecated
+@pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")
+@pytest.mark.parametrize("build", [least_squares_f, logistic_f,
+                                   lambda A, b: p_power_f(A, b, 1.5)],
+                         ids=["least-squares", "logistic", "p-power"])
+def test_np_matrix_becomes_a_plain_array(build):
+    # a matrix's @ returns 2-D results, so the builders take its array
+    rng = np.random.Generator(np.random.Philox(18))
+    A, b = rng.random((8, 4)), np.sign(rng.standard_normal(8))
+    runs = []
+    for data in (np.matrix(A), A):
+        obj = build(data, b)
+        assert type(obj.A) is np.ndarray
+        for mode in ("stochastic_symmetrized", "deterministic_bregman"):
+            x, trace = run_usfgm(obj, surrogate_mode=mode, max_iters=20)
+            runs.append((x.tobytes(), repr([r[:7] for r in trace])))
+        x, trace = run_ugm(obj, max_iters=20)
+        runs.append((x.tobytes(), repr([r[:7] for r in trace])))
+    assert runs[:3] == runs[3:]
+
+
 @pytest.mark.parametrize("make_obj", MAKE_OBJS)
 def test_bregman_nonnegativity(make_obj):
     rng = np.random.Generator(np.random.Philox(13))
@@ -381,6 +403,19 @@ class TestHolderConstantEstimate:
         obj = linear_objective(np.array([1.0, -2.0, 0.5]))
         for nu in (0.0, 0.5, 1.0):
             assert estimate_holder_constant(obj, nu, 100, seed=0) == 0.0
+
+    def test_zero_distance_pair_skipped(self, monkeypatch):
+        # the first pair draws one point twice, which has no ratio; only
+        # the second pair counts
+        rng = np.random.Generator(np.random.Philox(19))
+        obj = least_squares_f(rng.random((10, 4)), rng.random(10))
+        p, q = (sample_in_ball(obj.domain, obj.metric, rng) for _ in range(2))
+        points = iter([p, p, p, q])
+        monkeypatch.setattr("ugbench.problems.sample_in_ball",
+                            lambda domain, metric, rng: next(points))
+        expected = dual_norm(obj.metric, obj.subgradient(p) - obj.subgradient(q)
+                             ) / norm(obj.metric, p - q)
+        assert estimate_holder_constant(obj, 1.0, 2, seed=0) == expected
 
     def test_monotonicity_in_nu(self):
         rng = np.random.Generator(np.random.Philox(16))

@@ -86,6 +86,13 @@ class TestRegMaxBound:
     def test_zero_M(self):
         assert reg_max_bound(0.0, 0.5, 2.0) == 0.0
 
+    @pytest.mark.parametrize("M, H", [(math.nan, 1.0), (1.0, math.nan),
+                                      (-1.0, 1.0)])
+    def test_nan_or_negative_inputs_rejected(self, M, H):
+        # a nan M or H would otherwise come back as a nan bound
+        with pytest.raises(ValueError):
+            reg_max_bound(M, 0.5, H)
+
     def test_randomized_against_grid(self):
         rng = np.random.Generator(np.random.Philox(42))
         for _ in range(25):
@@ -312,20 +319,37 @@ class TestUsfgm:
                              trace_every=3)
         assert [r.cum_oracle_calls for r in trace] == list(range(2, 42, 2))
 
-    @pytest.mark.parametrize("mode, draws_per_iter", [
-        ("stochastic_symmetrized", 2), ("deterministic_bregman", 1)])
-    def test_user_oracle_sees_every_draw(self, ls_instance, mode,
-                                         draws_per_iter):
-        oracle = RecordingOracle(Oracle(ls_instance))
-        _, trace = run_usfgm(ls_instance, oracle, surrogate_mode=mode,
-                             max_iters=50)
-        assert len(oracle.gs) == draws_per_iter * 50 == oracle.calls
-        # the first draw is at y_0 = x_0, the centre
-        np.testing.assert_array_equal(
-            oracle.gs[0], ls_instance.subgradient(ls_instance.domain.center))
-        _, plain = run_usfgm(ls_instance, surrogate_mode=mode, max_iters=50)
-        np.testing.assert_allclose([r.H for r in trace], [r.H for r in plain],
-                                   rtol=1e-10, atol=0)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exact_user_oracle_is_not_drawn(self, ls_instance, mode):
+        # as in run_ugm, an exact oracle only answers is_exact: f and its
+        # gradient come from the objective, carried A x included
+        opaque = CompositeObjective(f_eval=ls_instance.f_eval,
+                                    domain=ls_instance.domain,
+                                    metric=ls_instance.metric)
+        for obj in (ls_instance, opaque):
+            oracle = RecordingOracle(Oracle(obj))
+            x, trace = run_usfgm(obj, oracle, surrogate_mode=mode,
+                                 max_iters=50, trace_every=7)
+            assert oracle.gs == [] and oracle.calls == 0
+            x_plain, plain = run_usfgm(obj, surrogate_mode=mode, max_iters=50,
+                                       trace_every=7)
+            # repr tells -0.0 from 0.0 and matches nan: bit for bit
+            assert x.tobytes() == x_plain.tobytes()
+            assert repr([r[:7] for r in trace]) == repr([r[:7] for r in plain])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_A_without_loss_runs_on_f_eval(self, ls_instance, mode):
+        # value() takes the f_eval route unless A and loss are both set, and
+        # so does run_usfgm: the trace is the f_eval-only objective's
+        traces = []
+        for A in (ls_instance.A, None):
+            obj = CompositeObjective(f_eval=ls_instance.f_eval,
+                                     domain=ls_instance.domain,
+                                     metric=ls_instance.metric, A=A)
+            x, trace = run_usfgm(obj, surrogate_mode=mode, max_iters=40,
+                                 trace_every=3)
+            traces.append((x.tobytes(), repr([r[:7] for r in trace])))
+        assert traces[0] == traces[1]
 
     def test_wrapped_noisy_oracle_gives_the_same_trace(self, ls_instance):
         cfg = OracleConfig(kind="gaussian", sigma=0.5, seed=9)
