@@ -4,7 +4,6 @@ from .metric import MetricSpace, dual_norm, norm, pairing
 from .problems import (
     BallDomain,
     CompositeObjective,
-    estimate_holder_constant,
     least_squares_f,
     logistic_f,
     p_power_f,
@@ -28,7 +27,7 @@ from .dataio import Dataset, parse_libsvm, serialize_libsvm, synth_least_squares
 __all__ = [
     "MetricSpace", "norm", "dual_norm", "pairing",
     "BallDomain", "CompositeObjective", "prox_step", "project_ball",
-    "least_squares_f", "logistic_f", "p_power_f", "estimate_holder_constant",
+    "least_squares_f", "logistic_f", "p_power_f",
     "CertificateAccumulator", "certificate_update", "certificate_gap",
     "Oracle", "OracleConfig",
     "balance_update", "reg_max_bound", "TraceRecord",

@@ -95,17 +95,28 @@ def _fmt(v):
 
 
 def parse_config_file(path):
-    """Flat `key = value` config file; '#' starts a comment."""
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            values[key.strip()] = value.strip()
+    """Flat `key = value` config file; '#' starts a comment.
+
+    A file that cannot be read, a line without '=' and a key given twice
+    are configuration errors."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"--config {path}: {exc.strerror or exc}") from None
+    values, first_line = {}, {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, "
+                              f"first on line {first_line[key]}")
+        values[key], first_line[key] = value.strip(), lineno
     return values
 
 

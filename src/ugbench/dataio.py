@@ -39,7 +39,7 @@ def parse_libsvm(stream, classification=False, source=""):
     Indices must be strictly increasing within a row; n is the max index
     seen and must be >= 1; missing entries are zero; labels and values must
     be finite.  With classification=True, {0, 1} labels are remapped to
-    {-1, +1}.
+    {-1, +1}, and any other label outside {-1, +1} is an error.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -110,9 +110,14 @@ def parse_libsvm(stream, classification=False, source=""):
             f"non-finite {'label' if col == 1 else 'value'} {tokens[col - 1]}",
             line=lineno, column=col)
     if classification:
-        unique = set(np.unique(labels))
-        if unique <= {0.0, 1.0}:
+        if set(np.unique(labels)) <= {0.0, 1.0}:
             labels = 2.0 * labels - 1.0
+        outside = np.abs(labels) != 1.0
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise LibsvmParseError(
+                "classification labels must be -1/+1 or all 0/1, got "
+                f"{float(labels[i])!r}", line=list(rows)[i], column=1)
     return Dataset(features=features, labels=labels, source=source)
 
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .metric import (DimensionMismatchError, MetricSpace, _norm,
-                     _scaled_dual_norm, dual_norm, norm)
+                     _scaled_dual_norm)
 
 # relative slack when checking that a start point or prox anchor is
 # feasible; absorbs round-off from earlier projections
@@ -104,9 +104,6 @@ class CompositeObjective:
         if self.A is not None and self.loss is not None:
             return self.loss(self.A @ x)[0]
         return self.f_eval(x)[0]
-
-    def subgradient(self, x):
-        return self.f_eval(np.asarray(x, dtype=np.float64))[1]
 
 
 def _require_in_ball(x, domain, metric, name):
@@ -330,33 +327,3 @@ def _loss_objective(A, loss, row_weights, domain, metric, label, f_eval=None,
     obj._lanes = _Lanes(lambda X: loss(_stacked(A, X))[0], grad)
     return obj
 
-
-def sample_in_ball(domain, metric, rng, size=None):
-    """Uniform sample from the ball in the B-norm."""
-    single = size is None
-    k = 1 if single else size
-    dim = metric.dim
-    z = rng.standard_normal((k, dim))
-    z /= np.linalg.norm(z * np.sqrt(metric.b_diag), axis=1, keepdims=True)
-    radii = domain.radius * rng.random(k) ** (1.0 / dim)
-    pts = domain.center + radii[:, None] * z
-    return pts[0] if single else pts
-
-
-def estimate_holder_constant(obj, nu, n_pairs, seed):
-    """Empirical lower estimate of the Hoelder constant L_nu.
-
-    Samples n_pairs random pairs in the domain and maximizes
-    ||g(x) - g(y)||_* / ||x - y||^nu.
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    best = 0.0
-    for _ in range(n_pairs):
-        x = sample_in_ball(obj.domain, obj.metric, rng)
-        y = sample_in_ball(obj.domain, obj.metric, rng)
-        dist = norm(obj.metric, x - y)
-        if dist == 0.0:
-            continue
-        gap = dual_norm(obj.metric, obj.subgradient(x) - obj.subgradient(y))
-        best = max(best, gap / dist**nu)
-    return best

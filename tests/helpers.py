@@ -44,6 +44,18 @@ def grid_max_concave(fn, lo, hi, n_coarse=20000, n_fine=200001):
     return float(np.max(fn(rf)))
 
 
+def sample_in_ball(domain, metric, rng, size=None):
+    """Uniform sample from the ball in the B-norm."""
+    single = size is None
+    k = 1 if single else size
+    dim = metric.dim
+    z = rng.standard_normal((k, dim))
+    z /= np.linalg.norm(z * np.sqrt(metric.b_diag), axis=1, keepdims=True)
+    radii = domain.radius * rng.random(k) ** (1.0 / dim)
+    pts = domain.center + radii[:, None] * z
+    return pts[0] if single else pts
+
+
 def linear_objective(c, radius=1.0, center=None):
     """f(x) = <c, x> on a ball, for LMO/certificate sanity checks."""
     c = np.asarray(c, dtype=np.float64)

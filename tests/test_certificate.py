@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import linear_objective
+from helpers import linear_objective, sample_in_ball
 from ugbench.certificate import CertificateAccumulator, certificate_gap, certificate_update
 from ugbench.metric import (DimensionMismatchError, MetricSpace, dual_norm,
                              pairing)
-from ugbench.problems import BallDomain, least_squares_f, sample_in_ball
+from ugbench.problems import BallDomain, least_squares_f
 from ugbench.solvers import run_ugm
 
 

@@ -349,6 +349,21 @@ class TestBadInputs:
                    "--out", str(tmp_path)])
         assert rc == EXIT_DATA_ERROR
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    def test_labels_outside_two_classes_are_a_data_error(self, tmp_path,
+                                                         capsys, command):
+        path = tmp_path / "multi.libsvm"
+        path.write_text("1 1:0.5 2:1\n2 1:0.1 2:0.3\n3 1:1 2:2\n")
+        out = tmp_path / "out"
+        extra = ["--solvers", "ugm,usgm"] if command == "compare" else []
+        rc = main([command, "--problem", "logistic", "--data", str(path),
+                   *extra, "--out", str(out)])
+        assert rc == EXIT_DATA_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "ugbench: classification labels must be -1/+1 or all 0/1, got "
+            "2.0 (line 2, column 1)\n")
+
     def test_malformed_libsvm_file(self, tmp_path, capsys):
         path = tmp_path / "bad.libsvm"
         path.write_text("1 1:1\n1 oops\n")
@@ -478,6 +493,29 @@ class TestConfigFile:
         cfgfile.write_text("solver ugm\n")
         rc = main(["run", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert rc == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("name, reason", [
+        ("absent.cfg", "No such file or directory"),
+        ("a-directory", "Is a directory")])
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys,
+                                                      name, reason):
+        (tmp_path / "a-directory").mkdir()
+        path = tmp_path / name
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(path), "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == f"ugbench: --config {path}: {reason}\n"
+
+    def test_key_given_twice_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("max_iters = 3\n# again\nmax_iters = 5\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgfile), *SMALL[:2], "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"ugbench: {cfgfile}:3: key 'max_iters' given twice, first on line 1\n")
 
     def test_parse_config_file_comments(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"

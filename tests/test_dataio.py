@@ -84,6 +84,22 @@ class TestParse:
         ds = parse_libsvm("-1 1:1\n+1 1:2\n", classification=True)
         np.testing.assert_array_equal(ds.labels, [-1.0, 1.0])
 
+    @pytest.mark.parametrize("text, line, label", [
+        ("1 1:0.5\n2 1:0.1\n3 1:1\n", 2, "2.0"),
+        ("# three classes\n-1 1:1\n1 1:2\n\n0 1:3\n", 5, "0.0"),
+        ("1 1:1\n0.5 1:2\n", 2, "0.5")], ids=["1-2-3", "0-mixed-with-pm1",
+                                               "fraction"])
+    def test_classification_rejects_a_label_outside_two_classes(
+            self, text, line, label):
+        # {0, 1} is remapped only when it holds every label
+        with pytest.raises(LibsvmParseError, match=(
+                f"^classification labels must be -1/\\+1 or all 0/1, got "
+                f"{label} \\(line {line}, column 1\\)$")) as info:
+            parse_libsvm(text, classification=True)
+        assert (info.value.line, info.value.column) == (line, 1)
+        # regression data keeps any finite label
+        assert parse_libsvm(text).m == text.count(":")
+
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "toy.libsvm"
         path.write_text("1 1:4.25\n")

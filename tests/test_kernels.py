@@ -18,6 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import sample_in_ball
 from ugbench.certificate import (
     CertificateAccumulator,
     _fold,
@@ -45,7 +46,6 @@ from ugbench.problems import (
     p_power_f,
     project_ball,
     prox_step,
-    sample_in_ball,
 )
 from ugbench.solvers import balance_update
 

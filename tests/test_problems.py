@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import CountingMatrix, finite_diff_grad, power_iteration_spectral_norm
-from ugbench.metric import MetricSpace, dual_norm, norm, pairing
+from helpers import (CountingMatrix, finite_diff_grad,
+                     power_iteration_spectral_norm, sample_in_ball)
+from ugbench.metric import MetricSpace, norm, pairing
 from ugbench.problems import (
     BallDomain,
     DataShapeError,
     InfeasibleAnchorError,
-    estimate_holder_constant,
     least_squares_f,
     logistic_f,
     p_power_f,
     project_ball,
     prox_step,
-    sample_in_ball,
 )
 from ugbench.solvers import run_ugm, run_usfgm
 
@@ -211,7 +210,7 @@ class TestLeastSquares:
         for _ in range(5):
             x = rng.standard_normal(4) * 0.3
             fd = finite_diff_grad(obj.value, x)
-            np.testing.assert_allclose(obj.subgradient(x), fd, rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(obj.f_eval(x)[1], fd, rtol=1e-6, atol=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(DataShapeError):
@@ -235,7 +234,7 @@ class TestLogistic:
         for _ in range(5):
             x = rng.standard_normal(3) * 0.4
             fd = finite_diff_grad(obj.value, x)
-            np.testing.assert_allclose(obj.subgradient(x), fd, rtol=1e-5, atol=1e-7)
+            np.testing.assert_allclose(obj.f_eval(x)[1], fd, rtol=1e-5, atol=1e-7)
 
     def test_single_sample_monotone(self):
         obj = logistic_f(np.array([[1.0]]), np.array([1.0]))
@@ -276,7 +275,7 @@ class TestPPower:
 
     def test_kink_uses_zero_subgradient(self):
         obj = p_power_f(np.array([[1.0]]), np.array([0.0]), 1.5)
-        np.testing.assert_array_equal(obj.subgradient(np.zeros(1)), np.zeros(1))
+        np.testing.assert_array_equal(obj.f_eval(np.zeros(1))[1], np.zeros(1))
 
     def test_gradient_matches_finite_differences_off_kinks(self):
         rng = np.random.Generator(np.random.Philox(9))
@@ -289,7 +288,7 @@ class TestPPower:
             if np.min(np.abs(A @ x - b)) <= 1e-3:
                 continue
             fd = finite_diff_grad(obj.value, x)
-            np.testing.assert_allclose(obj.subgradient(x), fd, rtol=1e-5, atol=1e-7)
+            np.testing.assert_allclose(obj.f_eval(x)[1], fd, rtol=1e-5, atol=1e-7)
             checked += 1
 
     def test_p_out_of_range(self):
@@ -372,7 +371,7 @@ def test_bregman_nonnegativity(make_obj):
     for _ in range(100):
         x = sample_in_ball(obj.domain, obj.metric, rng)
         y = sample_in_ball(obj.domain, obj.metric, rng)
-        breg = obj.value(y) - obj.value(x) - pairing(obj.subgradient(x), y - x)
+        breg = obj.value(y) - obj.value(x) - pairing(obj.f_eval(x)[1], y - x)
         assert breg >= -1e-9
 
 
@@ -384,46 +383,6 @@ def test_holder_bregman_bound_least_squares():
     for _ in range(100):
         x = sample_in_ball(obj.domain, obj.metric, rng)
         y = sample_in_ball(obj.domain, obj.metric, rng)
-        breg = obj.value(y) - obj.value(x) - pairing(obj.subgradient(x), y - x)
+        breg = obj.value(y) - obj.value(x) - pairing(obj.f_eval(x)[1], y - x)
         assert breg <= 0.5 * L1 * norm(obj.metric, x - y) ** 2 + 1e-9
 
-
-class TestHolderConstantEstimate:
-    def test_least_squares_lower_bounds_spectral_norm(self):
-        rng = np.random.Generator(np.random.Philox(15))
-        A = rng.random((20, 6))
-        obj = least_squares_f(A, rng.random(20))
-        L1 = power_iteration_spectral_norm(A.T @ A)
-        est = estimate_holder_constant(obj, nu=1.0, n_pairs=500, seed=3)
-        assert est <= L1 * (1 + 1e-9)
-        assert est >= 0.3 * L1  # sampling finds a decent fraction of the sup
-
-    def test_linear_objective_is_zero(self):
-        from helpers import linear_objective
-        obj = linear_objective(np.array([1.0, -2.0, 0.5]))
-        for nu in (0.0, 0.5, 1.0):
-            assert estimate_holder_constant(obj, nu, 100, seed=0) == 0.0
-
-    def test_zero_distance_pair_skipped(self, monkeypatch):
-        # the first pair draws one point twice, which has no ratio; only
-        # the second pair counts
-        rng = np.random.Generator(np.random.Philox(19))
-        obj = least_squares_f(rng.random((10, 4)), rng.random(10))
-        p, q = (sample_in_ball(obj.domain, obj.metric, rng) for _ in range(2))
-        points = iter([p, p, p, q])
-        monkeypatch.setattr("ugbench.problems.sample_in_ball",
-                            lambda domain, metric, rng: next(points))
-        expected = dual_norm(obj.metric, obj.subgradient(p) - obj.subgradient(q)
-                             ) / norm(obj.metric, p - q)
-        assert estimate_holder_constant(obj, 1.0, 2, seed=0) == expected
-
-    def test_monotonicity_in_nu(self):
-        rng = np.random.Generator(np.random.Philox(16))
-        A = rng.random((12, 5))
-        obj = least_squares_f(A, rng.random(12))
-        D = obj.domain.diameter_D
-        # same seed -> same sampled pairs for every nu
-        estimates = {nu: estimate_holder_constant(obj, nu, 300, seed=7)
-                     for nu in (0.0, 0.5, 1.0)}
-        assert estimates[0.0] * D**0.0 <= estimates[0.5] * D**0.5 * (1 + 1e-9)
-        assert estimates[0.5] * D**0.5 <= estimates[1.0] * D**1.0 * (1 + 1e-9)

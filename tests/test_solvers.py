@@ -242,7 +242,7 @@ class TestUsfgm:
             a_next = k + 1.0
             A_next = A + a_next
             y = (A * x + a_next * v) / A_next
-            g_y = obj.subgradient(y)
+            g_y = obj.f_eval(y)[1]
             v_next = prox_step(a_next * g_y, v, H, domain, metric)
             x_next = (A * x + a_next * v_next) / A_next
             r = norm(metric, v_next - v)
@@ -435,7 +435,7 @@ class TestProjectedSubgrad:
         x = np.array(obj.domain.center)
         prev = obj.value(x)
         for _ in range(100):
-            x = project_ball(x - obj.subgradient(x) / L, obj.domain, obj.metric)
+            x = project_ball(x - obj.f_eval(x)[1] / L, obj.domain, obj.metric)
             val = obj.value(x)
             assert val <= prev + 1e-12
             prev = val
