@@ -32,13 +32,15 @@ class OracleConfig:
         # non-finite noise
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-        try:
-            batch_size = operator.index(self.batch_size)
-        except TypeError:
-            batch_size = 0
-        if batch_size < 1:
-            raise ValueError(
-                f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+        for name, low in (("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                ok = operator.index(value) >= low
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
 
     @property
     def is_exact(self):
@@ -58,24 +60,24 @@ def _noise_scale(metric, sigma):
 class _LaneOracle:
     """Oracle's draw and calls over lanes: draw(X) returns the S x n
     gradients that oracles[s] would draw at X[s], bit for bit, from
-    _lanes and row_grad, and records lane 0's where oracles[0].grads does.
+    f_eval and row_grad, and records lane 0's where oracles[0].grads does.
 
-    The oracles must be built-in ones on obj, of one configuration apart
-    from the seed.  Each lane draws from its own oracle's generator, so the
-    noise is that of one-seed runs.
+    obj must be a built-in objective (obj._lanes), and the oracles built-in
+    ones on it, of one configuration apart from the seed.  Each lane draws
+    from its own oracle's generator, so the noise is that of one-seed runs.
     """
 
     def __init__(self, obj, oracles):
         cfg = replace(oracles[0].cfg, seed=0)
-        if obj._lanes is None or any(type(o) is not Oracle or o.obj is not obj
-                                     or replace(o.cfg, seed=0) != cfg
-                                     for o in oracles):
-            raise ValueError("lanes need built-in oracles of one kind on an "
-                             "objective with _lanes")
+        if not obj._lanes or any(type(o) is not Oracle or o.obj is not obj
+                                 or replace(o.cfg, seed=0) != cfg
+                                 for o in oracles):
+            raise ValueError("lanes need built-in oracles of one kind on a "
+                             "built-in objective")
         self.grads, self.calls = oracles[0].grads, 0
-        lanes, n_rows, batch_size = obj._lanes, obj.n_rows, cfg.batch_size
+        n_rows, batch_size = obj.n_rows, cfg.batch_size
         if cfg.is_exact:
-            self._sample = lanes.grad
+            self._sample = lambda X: obj.f_eval(X)[1]
         elif cfg.kind == "gaussian":
             scale = _noise_scale(obj.metric, cfg.sigma)
             normals = [o.rng.standard_normal for o in oracles]
@@ -84,7 +86,7 @@ class _LaneOracle:
                 noise = np.empty_like(X)
                 for normal, row in zip(normals, noise):
                     normal(out=row)
-                return lanes.grad(X) + scale * noise
+                return obj.f_eval(X)[1] + scale * noise
             self._sample = sample
         else:
             draws = [o.rng.integers for o in oracles]

@@ -14,7 +14,7 @@ solvers pass each subgradient through _gradient.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -84,8 +84,10 @@ class CompositeObjective:
     loss(A x) alone, one product instead of two.
 
     The subgradient must have the shape of x; solvers check that on
-    every evaluation.  The built-in factories also set _lanes, the same
-    formulas over many points at once (see _Lanes).
+    every evaluation.  The built-in factories' f_eval, value and row_grad
+    also take S points at once, the rows of an S x n X, and loss the rows
+    of their products with A; each lane gets the bits of the one-point
+    call.  Only they set _lanes, which lets solvers run seeds as lanes.
     """
 
     f_eval: Callable[[np.ndarray], tuple]
@@ -96,13 +98,12 @@ class CompositeObjective:
     row_grad: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     A: Optional[np.ndarray] = None
     loss: Optional[Callable[[np.ndarray], tuple]] = None
-    _lanes: Optional["_Lanes"] = field(
-        default=None, init=False, repr=False, compare=False)
+    _lanes: bool = field(default=False, init=False, repr=False, compare=False)
 
     def value(self, x):
         x = np.asarray(x, dtype=np.float64)
         if self.A is not None and self.loss is not None:
-            return self.loss(self.A @ x)[0]
+            return self.loss(_stacked(self.A, x))[0]
         return self.f_eval(x)[0]
 
 
@@ -233,15 +234,14 @@ def p_power_f(A, b, p, domain=None, metric=None, label=None):
         a = np.abs(r)
         return np.add.reduce(a ** p, axis=-1) / m, weights(r, a) / m
 
-    # f_eval and grad divide by m after the product, A.T @ loss(A x)[1] before
+    # f_eval, at one point or S lanes, divides by m after the product,
+    # A.T @ loss(A x)[1] before
     def f_eval(x):
-        r = A @ x - b
+        r = _stacked(A, x) - b
         a = np.abs(r)
-        return float(np.add.reduce(a ** p)) / m, A.T @ weights(r, a) / m
-
-    def grad(X):
-        R = _stacked(A, X) - b
-        return _stacked(A.T, weights(R, np.abs(R))) / m
+        value = np.add.reduce(a ** p, axis=-1)
+        return (float(value) / m if x.ndim == 1 else value / m,
+                _stacked(A.T, weights(r, a)) / m)
 
     def row_weights(z, idx):
         r = z - b[idx]
@@ -249,7 +249,7 @@ def p_power_f(A, b, p, domain=None, metric=None, label=None):
 
     return _loss_objective(A, loss, row_weights, domain, metric,
                            f"p-power(p={p})" if label is None else label,
-                           f_eval, grad)
+                           f_eval)
 
 
 def _check_data(A, b):
@@ -264,19 +264,6 @@ def _check_data(A, b):
     return A, b
 
 
-class _Lanes(NamedTuple):
-    """An objective's formulas at S points at once, the rows of an S x n X.
-
-    Each lane's result is bit for bit what the one-point callable returns
-    at its row: value(X) -> S values of value, grad(X) -> S x n
-    subgradients of f_eval.  The objective's row_grad serves lanes itself:
-    row_grad(X, IDX) -> S x B x n, whose slice s is row_grad(X[s], IDX[s]).
-    """
-
-    value: Callable
-    grad: Callable
-
-
 def _stacked(M, X):
     """M @ X at one point X, else M @ x for each row x of X, with M one
     matrix or one per row.
@@ -289,31 +276,27 @@ def _stacked(M, X):
     return np.matmul(M, X[..., None])[..., 0]
 
 
-def _loss_objective(A, loss, row_weights, domain, metric, label, f_eval=None,
-                    grad=None):
-    """The CompositeObjective of f(x) = loss(A x), with its _Lanes, on the
+def _loss_objective(A, loss, row_weights, domain, metric, label, f_eval=None):
+    """The CompositeObjective of f(x) = loss(A x), lanes enabled, on the
     unit ball and Euclidean metric unless domain and metric are given.
 
     loss maps z = A x, or one such row per lane, to (values, w) with
     subgradient A.T @ w; row_weights(A[idx] @ x, idx) gives each sampled
-    row's factor: row i's gradient is row_weights_i * a_i.  f_eval and
-    grad, the lane form of its subgradient, given together, replace the
-    subgradient A.T @ w.
+    row's factor: row i's gradient is row_weights_i * a_i.  An f_eval
+    given, which must take lanes too, replaces loss(A x) with A.T @ w.
+    At one point, values are floats.
     """
     m, n = A.shape
     A_T = A.T
 
-    def point_loss(z):
+    def float_loss(z):
         value, w = loss(z)
-        return float(value), w
+        return float(value) if z.ndim == 1 else value, w
 
     if f_eval is None:
         def f_eval(x):
-            value, w = loss(A @ x)
-            return float(value), A_T @ w
-
-        def grad(X):
-            return _stacked(A_T, loss(_stacked(A, X))[1])
+            value, w = loss(_stacked(A, x))
+            return float(value) if x.ndim == 1 else value, _stacked(A_T, w)
 
     def row_grad(X, IDX):
         rows = A[IDX]
@@ -321,9 +304,9 @@ def _loss_objective(A, loss, row_weights, domain, metric, label, f_eval=None,
 
     obj = CompositeObjective(
         f_eval=f_eval, label=label, n_rows=m, row_grad=row_grad, A=A,
-        loss=point_loss,
+        loss=float_loss,
         domain=BallDomain(np.zeros(n), 1.0) if domain is None else domain,
         metric=MetricSpace.euclidean(n) if metric is None else metric)
-    obj._lanes = _Lanes(lambda X: loss(_stacked(A, X))[0], grad)
+    obj._lanes = True
     return obj
 

@@ -492,8 +492,7 @@ def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
     X = np.tile(_start_point(obj, None, max_iters, trace_every), (S, 1))
     lanes = _LaneOracle(obj, oracles)
     step = _stochastic_step(obj, lanes, D, X, gamma_variant)
-    X, records = _run(obj._lanes.value, step, X, max_iters, (), trace_every,
-                      True)
+    X, records = _run(obj.value, step, X, max_iters, (), trace_every, True)
     k, F, H, r, beta, gap, calls, t = zip(*records) if records else [()] * 8
     # per lane, the columns F, H, r and beta
     per_lane = np.reshape((F, H, r, beta), (4, max_iters, S)).transpose(

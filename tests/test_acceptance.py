@@ -25,7 +25,7 @@ from ugbench.dataio import (
     synth_least_squares,
 )
 from ugbench.metric import dual_norm
-from ugbench.oracles import Oracle, OracleConfig, make_rng
+from ugbench.oracles import Oracle, OracleConfig
 from ugbench.problems import least_squares_f, logistic_f, p_power_f
 from ugbench.solvers import (
     reg_max_bound,

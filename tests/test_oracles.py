@@ -161,6 +161,16 @@ def test_oracle_config_validation():
             OracleConfig(kind="minibatch", batch_size=batch_size)
 
 
+@pytest.mark.parametrize("kind", ["exact", "gaussian", "minibatch"])
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None])
+def test_oracle_config_rejects_a_bad_seed(kind, seed):
+    # checked for every kind, exact ones included, before any generator
+    # sees it, with an error that names the seed
+    with pytest.raises(ValueError, match=r"seed must be an integer >= 0"):
+        OracleConfig(kind=kind, sigma=1.0, seed=seed)
+    assert OracleConfig(kind=kind, sigma=1.0, seed=np.int64(2**40)).seed == 2**40
+
+
 def test_package_exports_resolve():
     # a stale name in __all__ would only fail a star import
     assert all(hasattr(ugbench, name) for name in ugbench.__all__)

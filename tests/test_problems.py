@@ -6,8 +6,10 @@ import pytest
 from helpers import (CountingMatrix, finite_diff_grad,
                      power_iteration_spectral_norm, sample_in_ball)
 from ugbench.metric import MetricSpace, norm, pairing
+from ugbench.oracles import Oracle, OracleConfig
 from ugbench.problems import (
     BallDomain,
+    CompositeObjective,
     DataShapeError,
     InfeasibleAnchorError,
     least_squares_f,
@@ -16,7 +18,7 @@ from ugbench.problems import (
     project_ball,
     prox_step,
 )
-from ugbench.solvers import run_ugm, run_usfgm
+from ugbench.solvers import _run_lanes, run_ugm, run_usfgm
 
 
 @pytest.fixture
@@ -301,28 +303,50 @@ MAKE_OBJS = [
     lambda rng: logistic_f(rng.standard_normal((8, 4)),
                            np.sign(rng.standard_normal(8))),
     lambda rng: p_power_f(rng.random((8, 4)), rng.random(8), 1.5),
+    lambda rng: p_power_f(rng.random((8, 4)), rng.random(8), 1.0),
+    lambda rng: p_power_f(rng.random((8, 4)), rng.random(8), 2.0),
 ]
 
 
 @pytest.mark.parametrize("make_obj", MAKE_OBJS)
 def test_loss_of_A_x_gives_f_eval(make_obj):
     # the A/loss structure the solvers may use instead of f_eval, and the
-    # lanes, whose row s has the bits of the one-point formulas at X[s]
+    # lanes: f_eval, value, loss and row_grad at the rows of X, whose row s
+    # has the bits of the one-point call at X[s]
     rng = np.random.Generator(np.random.Philox(14))
     obj = make_obj(rng)
     for _ in range(20):
         X = sample_in_ball(obj.domain, obj.metric, rng, size=3)
+        Z = X @ obj.A.T
         IDX = rng.integers(0, obj.n_rows, size=(3, 5))
-        values, grads = obj._lanes.value(X), obj._lanes.grad(X)
+        values, grads = obj.value(X), obj.f_eval(X)[1]
+        losses, loss_ws = obj.loss(Z)
         row_grads = obj.row_grad(X, IDX)
         for s, x in enumerate(X):
             f, g = obj.f_eval(x)
             value, w = obj.loss(obj.A @ x)
+            assert type(f) is float and type(obj.value(x)) is float
             assert type(value) is float and value == f
             np.testing.assert_allclose(obj.A.T @ w, g, rtol=1e-12, atol=1e-14)
             assert values[s].tobytes() == np.float64(obj.value(x)).tobytes()
             assert grads[s].tobytes() == g.tobytes()
+            point_loss, point_w = obj.loss(Z[s])
+            assert losses[s].tobytes() == np.float64(point_loss).tobytes()
+            assert loss_ws[s].tobytes() == point_w.tobytes()
             assert row_grads[s].tobytes() == obj.row_grad(x, IDX[s]).tobytes()
+
+
+def test_lanes_need_a_built_in_objective():
+    # the _lanes flag decides, not A and loss: a user objective made of a
+    # built-in's callables, which take lanes, is refused
+    obj = least_squares_f(np.eye(3), np.ones(3))
+    user = CompositeObjective(
+        f_eval=obj.f_eval, domain=obj.domain, metric=obj.metric,
+        n_rows=obj.n_rows, row_grad=obj.row_grad, A=obj.A, loss=obj.loss)
+    oracles = [Oracle(user, OracleConfig(kind="gaussian", sigma=1.0, seed=s))
+               for s in (0, 1)]
+    with pytest.raises(ValueError, match="on a built-in objective"):
+        _run_lanes(user, oracles, 5, 1)
 
 
 @pytest.mark.parametrize("build", [
