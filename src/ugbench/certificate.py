@@ -9,7 +9,7 @@ certificate_update and certificate_gap validate their arguments; run_ugm
 calls their kernels _fold and _phi_star directly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -95,12 +95,12 @@ def _fmt(v):
 
 
 def parse_config_file(path):
-    """Flat `key = value` config file; '#' starts a comment.
+    """Flat `key = value` UTF-8 config file; '#' starts a comment.
 
-    A file that cannot be read, a line without '=' and a key given twice
-    are configuration errors."""
+    A file that cannot be read, a line without '=' (such as one of bytes
+    that are not UTF-8) and a key given twice are configuration errors."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8", errors="replace") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"--config {path}: {exc.strerror or exc}") from None
@@ -140,7 +140,8 @@ def load_dataset(cfg):
             ds = replace(ds, labels=np.where(
                 ds.labels >= np.median(ds.labels), 1.0, -1.0))
         return ds
-    with open(spec) as fh:
+    # an undecodable byte reads as U+FFFD, a bad token at its line and column
+    with open(spec, encoding="utf-8", errors="replace") as fh:
         return dataio.parse_libsvm(
             fh, classification=(cfg.problem == "logistic"), source=spec
         )
@@ -278,7 +279,10 @@ def _prepare(cfg, solves):
                 f"solver {spec!r} needs an exact oracle, got {cfg.oracle!r}")
     obj = make_problem(cfg, load_dataset(cfg))
     oracles = [[Oracle(obj, config) for config in configs] for _ in solves]
-    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {cfg.out}: {exc.strerror or exc}") from None
     return obj, oracles
 
 

@@ -1,6 +1,7 @@
 """LIBSVM-format parsing/serialization and synthetic problem generation."""
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,77 +39,61 @@ def parse_libsvm(stream, classification=False, source=""):
 
     Indices must be strictly increasing within a row; n is the max index
     seen and must be >= 1; missing entries are zero; labels and values must
-    be finite.  With classification=True, {0, 1} labels are remapped to
-    {-1, +1}, and any other label outside {-1, +1} is an error.
+    be finite.  Each token is checked as it is read, so the first bad one in
+    file order is reported.  With classification=True, {0, 1} labels are
+    remapped to {-1, +1}, and any other label outside {-1, +1} is an error.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    rows = {}  # line number -> {index: value}
-    labels = []
-    max_index = 0
+    linenos, labels, rows, cols, vals = [], [], [], [], []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
+        label, *tokens = line.split()
         try:
-            labels.append(float(tokens[0]))
+            y = float(label)
         except ValueError:
-            raise LibsvmParseError(
-                f"non-numeric label {tokens[0]!r}", line=lineno, column=1
-            ) from None
-        row = {}
-        prev_index = 0
-        for col, tok in enumerate(tokens[1:], start=2):
+            raise LibsvmParseError(f"non-numeric label {label!r}", lineno, 1) from None
+        if not math.isfinite(y):
+            raise LibsvmParseError(f"non-finite label {y}", lineno, 1)
+        i, prev_index = len(labels), 0
+        for col, tok in enumerate(tokens, start=2):
             idx_str, sep, val_str = tok.partition(":")
             if not sep:
-                raise LibsvmParseError(
-                    f"expected <index>:<value>, got {tok!r}",
-                    line=lineno, column=col,
-                )
+                raise LibsvmParseError(f"expected <index>:<value>, got {tok!r}",
+                                       lineno, col)
             try:
                 idx = int(idx_str)
                 val = float(val_str)
             except ValueError:
-                raise LibsvmParseError(
-                    f"non-numeric token {tok!r}", line=lineno, column=col
-                ) from None
+                raise LibsvmParseError(f"non-numeric token {tok!r}",
+                                       lineno, col) from None
             if idx <= 0:
-                raise LibsvmParseError(
-                    f"index must be >= 1, got {idx}", line=lineno, column=col
-                )
+                raise LibsvmParseError(f"index must be >= 1, got {idx}", lineno, col)
             if idx <= prev_index:
-                raise LibsvmParseError(
-                    f"indices must be strictly increasing, got {idx} after "
-                    f"{prev_index}", line=lineno, column=col,
-                )
+                raise LibsvmParseError(f"indices must be strictly increasing, got "
+                                       f"{idx} after {prev_index}", lineno, col)
+            if not math.isfinite(val):
+                raise LibsvmParseError(f"non-finite value {val}", lineno, col)
             prev_index = idx
-            row[idx] = val
-            max_index = max(max_index, idx)
-        rows[lineno] = row
-    if not rows:
+            rows.append(i)
+            cols.append(idx - 1)
+            vals.append(val)
+        linenos.append(lineno)
+        labels.append(y)
+    if not labels:
         raise LibsvmParseError("no records")
-    if max_index == 0:
+    if not cols:
         raise LibsvmParseError("no features: every record has only a label")
+    m, n = len(labels), max(cols) + 1
     try:
-        features = np.zeros((len(rows), max_index))
+        features = np.zeros((m, n))
     except (MemoryError, ValueError):  # numpy's "too big" is a ValueError
-        raise LibsvmParseError(f"cannot allocate the {len(rows)} x "
-                               f"{max_index} feature matrix") from None
-    for i, row in enumerate(rows.values()):
-        for idx, val in row.items():
-            features[i, idx - 1] = val
-    labels = np.asarray(labels)
-    # one vectorised check; the offending token is looked up only on failure
-    finite_rows = np.isfinite(labels) & np.isfinite(features).all(axis=1)
-    if not finite_rows.all():
-        i = int(np.argmin(finite_rows))
-        lineno = list(rows)[i]
-        tokens = [labels[i], *rows[lineno].values()]
-        col = next(c for c, v in enumerate(tokens, start=1) if not np.isfinite(v))
         raise LibsvmParseError(
-            f"non-finite {'label' if col == 1 else 'value'} {tokens[col - 1]}",
-            line=lineno, column=col)
+            f"cannot allocate the {m} x {n} feature matrix") from None
+    features[rows, cols] = vals
+    labels = np.asarray(labels)
     if classification:
         if set(np.unique(labels)) <= {0.0, 1.0}:
             labels = 2.0 * labels - 1.0
@@ -117,20 +102,20 @@ def parse_libsvm(stream, classification=False, source=""):
             i = int(np.argmax(outside))
             raise LibsvmParseError(
                 "classification labels must be -1/+1 or all 0/1, got "
-                f"{float(labels[i])!r}", line=list(rows)[i], column=1)
+                f"{float(labels[i])!r}", line=linenos[i], column=1)
     return Dataset(features=features, labels=labels, source=source)
 
 
 def serialize_libsvm(dataset):
-    """Write a Dataset back to LIBSVM text (zeros omitted)."""
-    lines = []
-    for i in range(dataset.m):
-        parts = [repr(float(dataset.labels[i]))]
-        row = dataset.features[i]
-        for j in np.nonzero(row)[0]:
-            parts.append(f"{j + 1}:{float(row[j])!r}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    """Write a Dataset back to LIBSVM text (zeros omitted), one row at a time.
+
+    Each value is repr(float(v)) of an item of the row's Python list, so
+    integer data print as floats (`1:1.0`)."""
+    return "\n".join(
+        " ".join([repr(float(y)), *(f"{j}:{float(v)!r}"
+                                    for j, v in enumerate(row.tolist(), 1) if v)])
+        for y, row in zip(dataset.labels.tolist(), dataset.features, strict=True)
+    ) + "\n"
 
 
 def synth_least_squares(m, n, seed):

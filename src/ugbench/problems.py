@@ -93,7 +93,6 @@ class CompositeObjective:
     f_eval: Callable[[np.ndarray], tuple]
     domain: BallDomain
     metric: MetricSpace
-    label: str = ""
     n_rows: Optional[int] = None
     row_grad: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     A: Optional[np.ndarray] = None
@@ -176,7 +175,7 @@ def _gradient(g, shape):
     return g
 
 
-def least_squares_f(A, b, domain=None, metric=None, label="least-squares"):
+def least_squares_f(A, b, domain=None, metric=None):
     """f(x) = (1/2) ||Ax - b||_2^2 with gradient A^T (Ax - b)."""
     A, b = _check_data(A, b)
     m = len(b)
@@ -186,11 +185,10 @@ def least_squares_f(A, b, domain=None, metric=None, label="least-squares"):
         return 0.5 * np.vecdot(r, r), r
 
     # full gradient is the uniform mean over rows of m * r_i * a_i
-    return _loss_objective(A, loss, lambda z, idx: m * (z - b[idx]), domain,
-                           metric, label)
+    return _loss_objective(A, loss, lambda z, idx: m * (z - b[idx]), domain, metric)
 
 
-def logistic_f(features, labels, domain=None, metric=None, label="logistic"):
+def logistic_f(features, labels, domain=None, metric=None):
     """f(x) = sum_i log(1 + exp(-b_i <a_i, x>)) with labels in {-1, +1}."""
     A, b = _check_data(features, labels)
     if not np.all(np.isin(b, (-1.0, 1.0))):
@@ -211,10 +209,10 @@ def logistic_f(features, labels, domain=None, metric=None, label="logistic"):
         signs = b[idx]
         return m * (-signs * _sigmoid(-(signs * z)))
 
-    return _loss_objective(A, loss, row_weights, domain, metric, label)
+    return _loss_objective(A, loss, row_weights, domain, metric)
 
 
-def p_power_f(A, b, p, domain=None, metric=None, label=None):
+def p_power_f(A, b, p, domain=None, metric=None):
     """f(x) = (1/m) sum_i |<a_i, x> - b_i|^p, Hoelder-smooth with nu = p - 1.
 
     Subgradient is (p/m) sum_i sign(r_i) |r_i|^(p-1) a_i, with the zero
@@ -247,9 +245,7 @@ def p_power_f(A, b, p, domain=None, metric=None, label=None):
         r = z - b[idx]
         return weights(r, np.abs(r))
 
-    return _loss_objective(A, loss, row_weights, domain, metric,
-                           f"p-power(p={p})" if label is None else label,
-                           f_eval)
+    return _loss_objective(A, loss, row_weights, domain, metric, f_eval)
 
 
 def _check_data(A, b):
@@ -276,7 +272,7 @@ def _stacked(M, X):
     return np.matmul(M, X[..., None])[..., 0]
 
 
-def _loss_objective(A, loss, row_weights, domain, metric, label, f_eval=None):
+def _loss_objective(A, loss, row_weights, domain, metric, f_eval=None):
     """The CompositeObjective of f(x) = loss(A x), lanes enabled, on the
     unit ball and Euclidean metric unless domain and metric are given.
 
@@ -303,8 +299,7 @@ def _loss_objective(A, loss, row_weights, domain, metric, label, f_eval=None):
         return row_weights(_stacked(rows, X), IDX)[..., None] * rows
 
     obj = CompositeObjective(
-        f_eval=f_eval, label=label, n_rows=m, row_grad=row_grad, A=A,
-        loss=float_loss,
+        f_eval=f_eval, n_rows=m, row_grad=row_grad, A=A, loss=float_loss,
         domain=BallDomain(np.zeros(n), 1.0) if domain is None else domain,
         metric=MetricSpace.euclidean(n) if metric is None else metric)
     obj._lanes = True

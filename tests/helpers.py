@@ -66,8 +66,7 @@ def linear_objective(c, radius=1.0, center=None):
     def f_eval(x):
         return float(c @ x), c.copy()
 
-    return CompositeObjective(f_eval=f_eval, domain=domain, metric=metric,
-                              label="linear")
+    return CompositeObjective(f_eval=f_eval, domain=domain, metric=metric)
 
 
 class RecordingOracle:

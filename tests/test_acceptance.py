@@ -170,7 +170,7 @@ def test_criterion_07_adagrad_domination(inst100):
         ds, _ = synth_least_squares(60, 20, seed=3)
         labels = np.where(ds.labels >= np.median(ds.labels), 1.0, -1.0)
         obj_logit = logistic_f(ds.features, labels)
-        for obj in (obj_ls, obj_logit):
+        for name, obj in (("least-squares", obj_ls), ("logistic", obj_logit)):
             D = obj.domain.diameter_D
             for seed in range(5):
                 oracle = RecordingOracle(Oracle(
@@ -182,7 +182,7 @@ def test_criterion_07_adagrad_domination(inst100):
                           for i in range(len(gs) - 1)]
                 h_prime = np.sqrt(np.cumsum(np.square(gammas))) / D
                 for rec, hp in zip(trace, h_prime):
-                    assert rec.H <= hp + 1e-9, (obj.label, seed, rec.k)
+                    assert rec.H <= hp + 1e-9, (name, seed, rec.k)
 
 
 def test_criterion_08_certificate_soundness():

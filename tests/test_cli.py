@@ -364,6 +364,34 @@ class TestBadInputs:
             "ugbench: classification labels must be -1/+1 or all 0/1, got "
             "2.0 (line 2, column 1)\n")
 
+    # an undecodable byte reads as U+FFFD: a bad token, or nothing in a comment
+    @pytest.mark.parametrize("data, error", [
+        pytest.param(b"1 1:0.5\n\xff\xfe 1:1\n",
+                     "non-numeric label '\ufffd\ufffd' (line 2, column 1)",
+                     id="label"),
+        pytest.param(b"1 1:0.5 2:\xff\n",
+                     "non-numeric token '2:\ufffd' (line 1, column 3)", id="value"),
+        pytest.param(b"1 1:0.5 # \xff\n-1 1:1\n", None, id="comment")])
+    def test_libsvm_file_is_read_as_utf8(self, tmp_path, capsys, data, error):
+        path = tmp_path / "bytes.libsvm"
+        path.write_bytes(data)
+        out = tmp_path / "out"
+        rc = main(["run", "--data", str(path), "--iters", "3", "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            (0, "") if error is None else (EXIT_DATA_ERROR, f"ugbench: {error}\n"))
+        assert out.exists() == (error is None)
+
+    @pytest.mark.parametrize("out, reason", [
+        ("afile", "File exists"), ("afile/sub", "Not a directory")])
+    def test_out_that_cannot_be_created_is_a_config_error(
+            self, tmp_path, capsys, out, reason):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / out
+        rc = main(["run", "--data", "synthetic:5:2", "--iters", "3",
+                   "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == f"ugbench: --out {out}: {reason}\n"
+
     def test_malformed_libsvm_file(self, tmp_path, capsys):
         path = tmp_path / "bad.libsvm"
         path.write_text("1 1:1\n1 oops\n")
@@ -506,6 +534,19 @@ class TestConfigFile:
         assert rc == EXIT_BAD_CONFIG
         assert not out.exists()
         assert capsys.readouterr().err == f"ugbench: --config {path}: {reason}\n"
+
+    @pytest.mark.parametrize("data, error", [
+        pytest.param(b"max_iters = 3\n\xff\n", "{}:2: expected key = value",
+                     id="line"),
+        pytest.param(b"max_iters = 3 # \xff\n", None, id="comment")])
+    def test_config_file_is_read_as_utf8(self, tmp_path, capsys, data, error):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(data)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgfile), *SMALL[:2], "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == ((0, "") if error is None else (
+            EXIT_BAD_CONFIG, f"ugbench: {error.format(cfgfile)}\n"))
+        assert out.exists() == (error is None)
 
     def test_key_given_twice_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -38,12 +38,17 @@ class TestParse:
         with pytest.raises(LibsvmParseError, match="no features"):
             parse_libsvm("1\n-1 # no index:value pairs\n")
 
-    @pytest.mark.parametrize("text, column", [
-        pytest.param("nan 1:1\n", 1, id="nan-label"),
-        pytest.param("1 1:1 2:inf\n", 3, id="inf-value"),
-        pytest.param("1 2:-1e400\n", 2, id="overflowing-value")])
-    def test_non_finite_reports_column(self, text, column):
-        with pytest.raises(LibsvmParseError, match=f"line 1, column {column}"):
+    # the first bad token in file order is reported, also when a later
+    # token is malformed or the file has no features
+    @pytest.mark.parametrize("text, line, column", [
+        pytest.param("nan 1:1\n", 1, 1, id="nan-label"),
+        pytest.param("1 1:1 2:inf\n", 1, 3, id="inf-value"),
+        pytest.param("1 2:-1e400\n", 1, 2, id="overflowing-value"),
+        pytest.param("1 1:inf\n2 x\n", 1, 2, id="before-a-malformed-token"),
+        pytest.param("nan\n", 1, 1, id="label-only")])
+    def test_non_finite_reports_column(self, text, line, column):
+        with pytest.raises(LibsvmParseError,
+                           match=f"^non-finite .*line {line}, column {column}"):
             parse_libsvm(text)
 
     def test_bad_label_reports_line(self):
@@ -121,6 +126,13 @@ def test_round_trip_preserves_data():
     assert back.n == 5
     np.testing.assert_array_equal(back.features, features)
     np.testing.assert_array_equal(back.labels, labels)
+    # -0.0 is omitted as 0.0 is, a subnormal keeps its repr, a row of zeros
+    # is its label alone, and integer data print as floats
+    ds = Dataset(features=np.array([[-0.0, 5e-324], [0.0, 0.0]]),
+                 labels=np.array([1.0, -2.0]))
+    assert serialize_libsvm(ds) == "1.0 2:5e-324\n-2.0\n"
+    ds = Dataset(features=np.array([[1, 0, 3]]), labels=np.array([2]))
+    assert serialize_libsvm(ds) == "2.0 1:1.0 3:3.0\n"
 
 
 class TestSynthetic:
