@@ -245,8 +245,16 @@ def parse_solver(spec, D):
     raise ConfigError(f"bad solver {spec!r}; expected {SOLVER_GRAMMAR}")
 
 
+def _out(path, action, *args, **kwargs):
+    """action(path, ...), whose OSError is a ConfigError naming path."""
+    try:
+        return action(path, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
+    with _out(path, open, "w") as fh:
         fh.write(header + "\n")
         fh.writelines(",".join(row) + "\n" for row in rows)
 
@@ -256,7 +264,7 @@ _TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
 
 
 def write_trace(path, trace):
-    with open(path, "w") as fh:
+    with _out(path, open, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
         fh.write("".join([_TRACE_ROW % rec for rec in trace]).replace("nan", ""))
 
@@ -279,10 +287,7 @@ def _prepare(cfg, solves):
                 f"solver {spec!r} needs an exact oracle, got {cfg.oracle!r}")
     obj = make_problem(cfg, load_dataset(cfg))
     oracles = [[Oracle(obj, config) for config in configs] for _ in solves]
-    try:
-        os.makedirs(cfg.out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {cfg.out}: {exc.strerror or exc}") from None
+    _out(cfg.out, os.makedirs, exist_ok=True)
     return obj, oracles
 
 

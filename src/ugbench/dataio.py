@@ -50,8 +50,13 @@ def parse_libsvm(stream, classification=False, source=""):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        # int and float also read "_" and non-ASCII digits, which a LIBSVM
+        # token does not have; only a line with either checks its tokens
+        odd = not line.isascii() or "_" in line
         label, *tokens = line.split()
         try:
+            if odd and (not label.isascii() or "_" in label):
+                raise ValueError
             y = float(label)
         except ValueError:
             raise LibsvmParseError(f"non-numeric label {label!r}", lineno, 1) from None
@@ -64,6 +69,8 @@ def parse_libsvm(stream, classification=False, source=""):
                 raise LibsvmParseError(f"expected <index>:<value>, got {tok!r}",
                                        lineno, col)
             try:
+                if odd and (not tok.isascii() or "_" in tok):
+                    raise ValueError
                 idx = int(idx_str)
                 val = float(val_str)
             except ValueError:

@@ -16,9 +16,10 @@ AdaGrad's H and, at H = 0, the dual norm of the direction (_prox_step) and
 the finiteness of beta and H (balance_update).
 USGM and AdaGrad share one step, _stochastic_step, which differs only in
 the next H.  _run_lanes runs seeds of either as the lanes of one pass
-through _run too: the same step, built on the lane kernels over an S x n
-state, gives each lane the bits of its one-seed solve and its oracle that
-solve's calls; the first oracle's grads, if a list, records lane 0's draws.
+through _run too: the same step, on the lane kernels over an S x n state
+and a lane view of the first oracle, gives each lane the bits of its
+one-seed solve and its oracle that solve's calls; the first oracle's
+grads, if a list, records lane 0's draws.
 """
 
 import math
@@ -37,7 +38,7 @@ from .certificate import (  # noqa: F401
     certificate_update)
 from .metric import (  # noqa: F401
     _SQRT_TINY, _dual_norm, _norm, _pairing, dual_norm, norm, pairing)
-from .oracles import Oracle, OracleConfig, _LaneOracle
+from .oracles import Oracle, OracleConfig, _lane_view
 from .problems import (  # noqa: F401
     _gradient, _project_ball, _prox_step, _require_in_ball, project_ball,
     prox_step)
@@ -479,7 +480,7 @@ def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
     oracle, as the lanes of one pass.
 
     The oracles are built-in ones of one kind on obj (see
-    oracles._LaneOracle).  Each product with A is one gemv per lane and
+    oracles._lane_view).  Each product with A is one gemv per lane and
     each lane draws from its own oracle's generator, so lane s returns the
     (x, trace) of the one-seed solve on oracles[s] bit for bit, apart from
     wall_time_s, which is the pass's clock; a failed check raises the
@@ -490,7 +491,7 @@ def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
     D = _diameter(obj, D)
     S = len(oracles)
     X = np.tile(_start_point(obj, None, max_iters, trace_every), (S, 1))
-    lanes = _LaneOracle(obj, oracles)
+    lanes = _lane_view(obj, oracles)
     step = _stochastic_step(obj, lanes, D, X, gamma_variant)
     X, records = _run(obj.value, step, X, max_iters, (), trace_every, True)
     k, F, H, r, beta, gap, calls, t = zip(*records) if records else [()] * 8

@@ -392,6 +392,18 @@ class TestBadInputs:
         assert rc == EXIT_BAD_CONFIG
         assert capsys.readouterr().err == f"ugbench: --out {out}: {reason}\n"
 
+    @pytest.mark.parametrize("command, name", [
+        ("run", "trace_ugm_0.csv"), ("run", "summary.csv"),
+        ("sweep", "sweep.csv")])
+    def test_output_file_that_cannot_be_written_is_a_config_error(
+            self, tmp_path, capsys, command, name):
+        (tmp_path / name).mkdir()
+        rc = main([command, "--data", "synthetic:5:2", "--iters", "3",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            f"ugbench: --out {tmp_path / name}: Is a directory\n")
+
     def test_malformed_libsvm_file(self, tmp_path, capsys):
         path = tmp_path / "bad.libsvm"
         path.write_text("1 1:1\n1 oops\n")

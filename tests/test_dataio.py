@@ -62,6 +62,22 @@ class TestParse:
     def test_non_numeric_value(self):
         with pytest.raises(LibsvmParseError, match="1:x"):
             parse_libsvm("1 1:x\n")
+        # int and float read "_" and non-ASCII digits; a LIBSVM token is
+        # ASCII without "_", and the first bad token in file order is named
+        for text, token, line, column in [
+                ("1_0 1:5\n", "label '1_0'", 1, 1),
+                ("1 1:5\n\u0661 1:5\n", "label '\u0661'", 2, 1),
+                ("1 1:5 1_0:5\n", "token '1_0:5'", 1, 3),
+                ("1 1:5 \u0661\u0662:2\n", "token '\u0661\u0662:2'", 1, 3),
+                ("1 1:1_0\n", "token '1:1_0'", 1, 2),
+                ("1 1:5 2:\uff11 3:1_0\n", "token '2:\uff11'", 1, 3),
+                ("1 1:inf 2:1_0\n", None, 1, 2)]:
+            message = f"non-numeric {token}" if token else "non-finite value inf"
+            with pytest.raises(LibsvmParseError) as err:
+                parse_libsvm(text)
+            assert str(err.value) == f"{message} (line {line}, column {column})"
+        # outside a token, in a comment, either is ignored
+        assert parse_libsvm("1 1:5 # 1_0 \u0661\n").features.tolist() == [[5.0]]
 
     def test_zero_or_negative_index(self):
         with pytest.raises(LibsvmParseError, match=">= 1"):

@@ -293,6 +293,23 @@ def test_minibatch_mean_matches_mean(data, batch_size, seed):
                              obj.row_grad(x, rows).mean(axis=0))
 
 
+@SETTINGS
+@given(loss_data(), st.data(), st.floats(0.0, 1e3, exclude_min=True),
+       st.integers(0, 2**32))
+def test_gaussian_draw_matches_its_formula(data, extra, sigma, seed):
+    A, b, _, x, _ = data
+    n = len(x)
+    # per-coordinate noise sqrt(b / n) * sigma: under a non-Euclidean metric
+    b_diag = np.array(extra.draw(st.lists(weight, min_size=n, max_size=n)))
+    obj = least_squares_f(A, b, metric=MetricSpace(n, b_diag))
+    oracle = Oracle(obj, OracleConfig(kind="gaussian", sigma=sigma, seed=seed))
+    rng = make_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            assert same_bits(oracle.draw(x), obj.f_eval(x)[1] + sigma * np.sqrt(
+                b_diag / n) * rng.standard_normal(n))
+
+
 def test_exact_oracle_holds_no_generator():
     obj = least_squares_f(np.eye(2), np.ones(2))
     assert Oracle(obj).rng is None

@@ -17,6 +17,7 @@ import pytest
 
 import ugbench.cli
 import ugbench.oracles
+from helpers import RecordingOracle
 from ugbench.cli import main
 from ugbench.metric import MetricSpace
 from ugbench.oracles import Oracle, OracleConfig
@@ -162,10 +163,24 @@ def test_lanes_share_the_pass_clock(method):
 
 def test_lanes_reject_mixed_oracles():
     obj = make_objective("least-squares", "default")
-    oracles = [Oracle(obj, OracleConfig(kind="gaussian", sigma=s, seed=int(s)))
-               for s in (1.0, 2.0)]
-    with pytest.raises(ValueError):
-        _run_lanes(obj, oracles, 5, 1)
+    other = make_objective("logistic", "default")
+    cfgs = [OracleConfig(kind="gaussian", sigma=1.0, seed=s) for s in (1, 2)]
+    gaussian = Oracle(obj, cfgs[0])
+    for oracles in [
+            [gaussian, Oracle(obj, OracleConfig(kind="gaussian", sigma=2.0))],
+            [gaussian, Oracle(obj, OracleConfig(kind="minibatch", seed=2))],
+            # two kinds that both draw exact gradients
+            [Oracle(obj), Oracle(obj, OracleConfig(kind="gaussian"))],
+            # one or every oracle built on another objective
+            [gaussian, Oracle(other, cfgs[1])],
+            [Oracle(other, cfg) for cfg in cfgs],
+            # a user oracle, here one that wraps a matching built-in one
+            [gaussian, RecordingOracle(Oracle(obj, cfgs[1]))],
+            [RecordingOracle(Oracle(obj, cfgs[1])), gaussian]]:
+        with pytest.raises(ValueError, match=(
+                "^lanes need built-in oracles of one kind on a built-in "
+                "objective$")):
+            _run_lanes(obj, oracles, 5, 1)
 
 
 class NanDraw:
