@@ -311,17 +311,31 @@ def _map_jobs(cfg, obj, solve, oracles):
 def cmd_run(cfg):
     solve = parse_solver(cfg.solver, cfg.D)
     obj, [oracles] = _prepare(cfg, [(cfg.solver, solve)])
-    summary = []
-    for seed, trace in zip(cfg.seeds, _map_jobs(cfg, obj, solve, oracles)):
-        write_trace(os.path.join(
-            cfg.out, f"trace_{_solver_tag(cfg.solver)}_{seed}.csv"), trace)
-        last = trace[-1] if trace else None
-        summary.append([cfg.solver, str(seed)] + ([
-            _fmt(last.F_value), _fmt(last.certificate_gap), str(last.k),
-            str(last.cum_oracle_calls), _fmt(last.wall_time_s),
-        ] if last else ["", "", "0", "0", "0"]))
-    _write_csv(os.path.join(cfg.out, "summary.csv"), "solver,seed,final_F,"
-               "final_gap_or_cert,iters,oracle_calls,wall_time_s", summary)
+    summary, created, tag = [], [], _solver_tag(cfg.solver)
+
+    def new(name):
+        """The path of output name, noted in created unless it exists."""
+        path = os.path.join(cfg.out, name)
+        if not os.path.lexists(path):
+            created.append(path)
+        return path
+
+    # an output that cannot be written takes with it the files this call made
+    try:
+        for seed, trace in zip(cfg.seeds, _map_jobs(cfg, obj, solve, oracles)):
+            write_trace(new(f"trace_{tag}_{seed}.csv"), trace)
+            last = trace[-1] if trace else None
+            summary.append([cfg.solver, str(seed)] + ([
+                _fmt(last.F_value), _fmt(last.certificate_gap), str(last.k),
+                str(last.cum_oracle_calls), _fmt(last.wall_time_s),
+            ] if last else ["", "", "0", "0", "0"]))
+        _write_csv(new("summary.csv"), "solver,seed,final_F,"
+                   "final_gap_or_cert,iters,oracle_calls,wall_time_s", summary)
+    except BaseException:
+        for path in created:
+            if os.path.isfile(path):
+                os.remove(path)
+        raise
     return 0
 
 

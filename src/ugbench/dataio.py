@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,28 +35,38 @@ class Dataset:
         return self.features.shape[1]
 
 
+def _plain(token):
+    """No non-ASCII, "_" or control character, which int and float read or
+    strip but a LIBSVM token does not have."""
+    return token.isascii() and token.isprintable() and "_" not in token
+
+
 def parse_libsvm(stream, classification=False, source=""):
     """Parse LIBSVM text: `<label> <idx>:<val> ...` with 1-based indices.
 
-    Indices must be strictly increasing within a row; n is the max index
-    seen and must be >= 1; missing entries are zero; labels and values must
-    be finite.  Each token is checked as it is read, so the first bad one in
-    file order is reported.  With classification=True, {0, 1} labels are
-    remapped to {-1, +1}, and any other label outside {-1, +1} is an error.
+    Tokens are separated by spaces and tabs; any other character, other
+    whitespace too, is part of its token.  Indices must be strictly
+    increasing within a row; n is the max index seen and must be >= 1;
+    missing entries are zero; labels and values must be finite.  Each
+    token is checked as it is read, so the first bad one in file order is
+    reported.  With classification=True, {0, 1} labels are remapped to
+    {-1, +1}, and any other label outside {-1, +1} is an error.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     linenos, labels, rows, cols, vals = [], [], [], [], []
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(" \t\r\n")
         if not line:
             continue
-        # int and float also read "_" and non-ASCII digits, which a LIBSVM
-        # token does not have; only a line with either checks its tokens
-        odd = not line.isascii() or "_" in line
-        label, *tokens = line.split()
+        # str.split also splits at non-ASCII whitespace and at the ASCII
+        # whitespace below; only a line with either, or "_", checks tokens
+        odd = (not line.isascii() or "_" in line or "\r" in line
+               or "\v" in line or "\f" in line or "\x1c" in line
+               or "\x1d" in line or "\x1e" in line or "\x1f" in line)
+        label, *tokens = re.split("[ \t]+", line) if odd else line.split()
         try:
-            if odd and (not label.isascii() or "_" in label):
+            if odd and not _plain(label):
                 raise ValueError
             y = float(label)
         except ValueError:
@@ -69,7 +80,7 @@ def parse_libsvm(stream, classification=False, source=""):
                 raise LibsvmParseError(f"expected <index>:<value>, got {tok!r}",
                                        lineno, col)
             try:
-                if odd and (not tok.isascii() or "_" in tok):
+                if odd and not _plain(tok):
                     raise ValueError
                 idx = int(idx_str)
                 val = float(val_str)

@@ -3,12 +3,11 @@
 All oracles are unbiased.  The exact oracle returns the full gradient; a
 mini-batch averages batch_size rows drawn with replacement.  Randomness
 comes from a Philox generator seeded by OracleConfig.seed; each solver run
-owns its own generator, and the randomness for a draw is consumed strictly
-after the query point is fixed.  Each kind has one formula, for a point
-and for S seeds run as lanes, each lane's inputs from its own generator.
-The generator is sequential: draw i is reproduced by a new oracle with the
-same seed replaying draws 0..i-1 at the same points first, not from the
-seed and i alone.
+owns its own generator, read in blocks of about 1024 values.  Draw i of a
+seed takes the i-th row of its stream, whatever the points: the inputs
+that one generator call per draw would give.  Each kind has one formula,
+for a point and for S seeds run as lanes, each lane's inputs from its own
+generator.
 """
 
 import math
@@ -55,6 +54,12 @@ def make_rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _rows(sample, width):
+    size = (max(1, 1024 // width), width)
+    while True:
+        yield from sample(size=size)
+
+
 class Oracle:
     """Stateful sampler for one solver run: draw(x) returns a gradient
     sample at x and calls counts the draws made.  grads, if set to a list,
@@ -62,12 +67,15 @@ class Oracle:
     recorded nor counted.
 
     Each kind is bound once, here, in two parts: the draw's random inputs
-    from this oracle's generator (none, dim standard normals or batch_size
-    row indices), and one formula that turns x, a float64 vector or the
-    S x n rows of a lane view (_lane_view), and those inputs into
-    gradients, looking up f_eval and row_grad at each draw.  A draw takes
-    its inputs first, so one whose formula raises still advances the
-    generator; one that succeeds gets the same bits as in the other order.
+    (none, or the next row of dim standard normals or of batch_size row
+    indices), and one formula that turns x, a float64 vector or the S x n
+    rows of a lane view (_lane_view), and those inputs into gradients,
+    looking up f_eval and row_grad at each draw.  _rows reads the rows from
+    this oracle's generator in blocks of K = max(1, 1024 // width) rows per
+    call; Philox's normal and bounded-integer streams do not depend on how
+    calls chunk them, so draw i of a seed takes the i-th row of its stream,
+    bit for bit, whatever the points.  A draw takes its inputs first, so
+    one whose formula raises still uses up its row.
     """
 
     def __init__(self, obj, cfg=None):
@@ -82,7 +90,8 @@ class Oracle:
         elif cfg.kind == "gaussian":
             # per-coordinate std of noise with E||delta||_*^2 = sigma^2
             scale = cfg.sigma * np.sqrt(obj.metric.b_diag / obj.metric.dim)
-            self._inputs = partial(self.rng.standard_normal, obj.metric.dim)
+            self._inputs = partial(next, _rows(self.rng.standard_normal,
+                                               obj.metric.dim))
             self._formula = lambda x, noise: obj.f_eval(x)[1] + scale * noise
         else:
             if obj.row_grad is None or obj.n_rows is None:
@@ -94,7 +103,8 @@ class Oracle:
                     f"batch_size {batch_size} exceeds {n_rows} dataset rows")
             # rows drawn with replacement; np.add.reduce(G, axis=-2) / B is
             # G.mean over a point's or each lane's batch, without its wrapper
-            self._inputs = partial(self.rng.integers, 0, n_rows, size=batch_size)
+            self._inputs = partial(next, _rows(
+                partial(self.rng.integers, 0, n_rows), batch_size))
             self._formula = lambda x, rows: np.add.reduce(
                 obj.row_grad(x, rows), axis=-2) / batch_size
 

@@ -404,6 +404,21 @@ class TestBadInputs:
         assert capsys.readouterr().err == (
             f"ugbench: --out {tmp_path / name}: Is a directory\n")
 
+    @pytest.mark.parametrize("name", ["trace_ugm_1.csv", "summary.csv"])
+    def test_output_that_cannot_be_written_leaves_no_file_it_created(
+            self, tmp_path, capsys, name):
+        # the traces before the failing output are removed; files that were
+        # there before the call are left alone
+        (tmp_path / name).mkdir()
+        (tmp_path / "trace_ugm_2.csv").write_text("old\n")
+        rc = main(["run", "--data", "synthetic:5:2", "--iters", "3",
+                   "--seeds", "0,1,2", "--out", str(tmp_path)])
+        assert rc == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            f"ugbench: --out {tmp_path / name}: Is a directory\n")
+        assert sorted(os.listdir(tmp_path)) == sorted([name, "trace_ugm_2.csv"])
+        assert (tmp_path / name).is_dir()
+
     def test_malformed_libsvm_file(self, tmp_path, capsys):
         path = tmp_path / "bad.libsvm"
         path.write_text("1 1:1\n1 oops\n")

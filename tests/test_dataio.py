@@ -79,6 +79,25 @@ class TestParse:
         # outside a token, in a comment, either is ignored
         assert parse_libsvm("1 1:5 # 1_0 \u0661\n").features.tolist() == [[5.0]]
 
+    def test_tokens_are_separated_by_spaces_and_tabs_only(self):
+        # runs of spaces and tabs separate tokens, and a line may end in \r
+        ds = parse_libsvm("1\t1:5 \t 2:3  \r\n-1 2:1\n")
+        assert ds.features.tolist() == [[5.0, 3.0], [0.0, 1.0]]
+        # str.split also splits at other whitespace, and int and float strip
+        # it; here it is part of its token, which is not numeric
+        for text, token, line, column in [
+                ("1\u00a01:5\n-1 1:2\n", "label '1\\xa01:5'", 1, 1),
+                ("1\f1:5\n", "label '1\\x0c1:5'", 1, 1),
+                ("1 1:5\n-1\u30001:2\n", "label '-1\\u30001:2'", 2, 1),
+                ("1 1:5\v\n", "token '1:5\\x0b'", 1, 2),
+                ("1 1:5 \x1c2:3\n", "token '\\x1c2:3'", 1, 3),
+                ("1 1:5\x1f2:3\n", "token '1:5\\x1f2:3'", 1, 2),
+                ("1 1:5\r2:3\n", "token '1:5\\r2:3'", 1, 2)]:
+            with pytest.raises(LibsvmParseError) as err:
+                parse_libsvm(text)
+            assert str(err.value) == (f"non-numeric {token} "
+                                      f"(line {line}, column {column})")
+
     def test_zero_or_negative_index(self):
         with pytest.raises(LibsvmParseError, match=">= 1"):
             parse_libsvm("1 0:2\n")

@@ -184,7 +184,8 @@ def test_lanes_reject_mixed_oracles():
 
 
 class NanDraw:
-    """A generator whose n-th standard_normal draw has a bad (nan) entry."""
+    """A generator whose n-th standard_normal draw (row) has a bad (nan)
+    entry, however many draws one call returns."""
 
     def __init__(self, rng, n, bad=math.nan):
         self.rng, self.n, self.bad = rng, n, bad
@@ -192,9 +193,10 @@ class NanDraw:
 
     def standard_normal(self, size=None, out=None):
         z = self.rng.standard_normal(size, out=out)
-        self.n -= 1
-        if self.n == 0:
-            z[2] = self.bad
+        rows = z.reshape(-1, z.shape[-1])
+        if 0 < self.n <= len(rows):
+            rows[self.n - 1, 2] = self.bad
+        self.n -= len(rows)
         return z
 
 

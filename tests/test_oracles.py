@@ -5,7 +5,7 @@ import pytest
 
 import ugbench
 from ugbench.metric import dual_norm
-from ugbench.oracles import Oracle, OracleConfig
+from ugbench.oracles import Oracle, OracleConfig, make_rng
 from ugbench.problems import CompositeObjective, least_squares_f
 
 
@@ -143,6 +143,48 @@ def test_oracle_grads_records_each_draw(ls_problem, cfg):
     with pytest.raises(ValueError):
         oracle.draw(np.zeros(4))
     assert len(oracle.grads) == 6 and oracle.calls == 7
+
+
+@pytest.mark.parametrize("kind, n_rows, width", [
+    ("gaussian", 3, 1), ("gaussian", 3, 50), ("gaussian", 3, 1025),
+    ("minibatch", 1, 1), ("minibatch", 2, 2), ("minibatch", 100, 8),
+    ("minibatch", 2000, 1025)])
+def test_draws_read_one_stream_across_blocks(kind, n_rows, width):
+    # an oracle reads K = max(1, 1024 // width) draws' inputs per generator
+    # call; its 2K + 1 draws, at changing points and with a draw that
+    # raises at the end of the first block, must equal the draws of one
+    # generator call each, bit for bit
+    sigma, seed = 0.7, 2**33 + 5
+    dim = width if kind == "gaussian" else 3
+    A = make_rng(1).random((n_rows, dim))
+    obj = least_squares_f(A, A @ np.full(dim, 0.1))
+    oracle = Oracle(obj, OracleConfig(kind=kind, sigma=sigma, batch_size=width,
+                                      seed=seed))
+    rng = make_rng(seed)
+    if kind == "gaussian":
+        def inputs():
+            return rng.standard_normal(dim)
+
+        def expected(x):
+            return obj.f_eval(x)[1] + sigma * np.sqrt(
+                obj.metric.b_diag / dim) * inputs()
+    else:
+        def inputs():
+            return rng.integers(0, n_rows, size=width)
+
+        def expected(x):
+            return obj.row_grad(x, inputs()).mean(axis=0)
+    K = max(1, 1024 // width)
+    points = make_rng(2).standard_normal((2 * K + 1, dim)) / dim
+    for i, x in enumerate(points):
+        if i == K - 1:
+            # the formula raises after the draw took its inputs
+            with pytest.raises(ValueError):
+                oracle.draw(np.zeros(dim + 1))
+            inputs()
+        else:
+            assert oracle.draw(x).tobytes() == expected(x).tobytes()
+    assert oracle.calls == 2 * K
 
 
 def test_oracle_config_validation():
