@@ -4,15 +4,19 @@ Subcommands: run (single solve per seed, CSV traces + summary), sweep
 (grid of sgd step sizes or of diameters, best grid point marked), compare
 (several solvers on a shared problem, wide CSV of objective values).
 
+Each command solves first and returns its outputs; main then writes them
+(_publish), and if anything fails, nothing that the call created remains.
 All outputs are pure functions of (config, seeds); wall-time columns are
 informational only.
 """
 
 import argparse
+import errno
 import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -245,16 +249,8 @@ def parse_solver(spec, D):
     raise ConfigError(f"bad solver {spec!r}; expected {SOLVER_GRAMMAR}")
 
 
-def _out(path, action, *args, **kwargs):
-    """action(path, ...), whose OSError is a ConfigError naming path."""
-    try:
-        return action(path, *args, **kwargs)
-    except OSError as exc:
-        raise ConfigError(f"--out {path}: {exc.strerror or exc}") from None
-
-
-def _write_csv(path, header, rows):
-    with _out(path, open, "w") as fh:
+def _write_csv(header, rows, path):
+    with open(path, "w") as fh:
         fh.write(header + "\n")
         fh.writelines(",".join(row) + "\n" for row in rows)
 
@@ -264,9 +260,41 @@ _TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
 
 
 def write_trace(path, trace):
-    with _out(path, open, "w") as fh:
+    with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
         fh.write("".join([_TRACE_ROW % rec for rec in trace]).replace("nan", ""))
+
+
+def _missing(out):
+    """The directories os.makedirs(out) would create, deepest first, or its
+    error as a ConfigError if the nearest existing path is no directory."""
+    missing, path = [], out.rstrip(os.sep) or out
+    while path and not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    if not out or path and not os.path.isdir(path):
+        code = (errno.EEXIST if out and not missing else
+                errno.ENOTDIR if os.path.exists(path) else errno.ENOENT)
+        raise ConfigError(f"--out {out}: {os.strerror(code)}")
+    return missing
+
+
+def _publish(out, outputs):
+    """Create out, then write each (name, write) output by write(out/name).
+    On any exception, remove the files and then the directories, deepest
+    first, that this call created; an OSError is a ConfigError naming its path."""
+    steps = [(out, partial(os.makedirs, exist_ok=True))] + [
+        (os.path.join(out, name), write) for name, write in outputs]
+    created = [p for p, _ in steps[1:] if not os.path.lexists(p)] + _missing(out)
+    try:
+        for path, step in steps:
+            step(path)
+    except BaseException as exc:
+        for made in filter(os.path.lexists, created):
+            (os.rmdir if os.path.isdir(made) else os.remove)(made)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"--out {path}: {exc.strerror or exc}") from None
+        raise
 
 
 def _solver_tag(spec):
@@ -275,20 +303,18 @@ def _solver_tag(spec):
 
 def _prepare(cfg, solves):
     """The front of every command, given its (spec, solve) pairs: check the
-    problem spec, each seed's oracle spec and each solve's need of an exact
-    oracle, and only then load the data, build the problem and one oracle
-    per solve and seed, and create cfg.out, so that a bad flag reads no
-    data and leaves no output.  Returns obj and each solve's oracles."""
+    problem spec, each seed's oracle spec, each solve's need of an exact
+    oracle and --out before any data is read, then load the data; returns
+    the problem and, per solve, one oracle per seed."""
     parse_problem(cfg.problem)
     configs = [make_oracle_config(cfg.oracle, seed) for seed in cfg.seeds]
     for spec, solve in solves:
         if solve.needs_exact_oracle and not configs[0].is_exact:
             raise ConfigError(
                 f"solver {spec!r} needs an exact oracle, got {cfg.oracle!r}")
+    _missing(cfg.out)
     obj = make_problem(cfg, load_dataset(cfg))
-    oracles = [[Oracle(obj, config) for config in configs] for _ in solves]
-    _out(cfg.out, os.makedirs, exist_ok=True)
-    return obj, oracles
+    return obj, [[Oracle(obj, config) for config in configs] for _ in solves]
 
 
 _LANE_ENTRIES = ("run_usgm", "run_adagrad_norm")
@@ -311,32 +337,16 @@ def _map_jobs(cfg, obj, solve, oracles):
 def cmd_run(cfg):
     solve = parse_solver(cfg.solver, cfg.D)
     obj, [oracles] = _prepare(cfg, [(cfg.solver, solve)])
-    summary, created, tag = [], [], _solver_tag(cfg.solver)
-
-    def new(name):
-        """The path of output name, noted in created unless it exists."""
-        path = os.path.join(cfg.out, name)
-        if not os.path.lexists(path):
-            created.append(path)
-        return path
-
-    # an output that cannot be written takes with it the files this call made
-    try:
-        for seed, trace in zip(cfg.seeds, _map_jobs(cfg, obj, solve, oracles)):
-            write_trace(new(f"trace_{tag}_{seed}.csv"), trace)
-            last = trace[-1] if trace else None
-            summary.append([cfg.solver, str(seed)] + ([
-                _fmt(last.F_value), _fmt(last.certificate_gap), str(last.k),
-                str(last.cum_oracle_calls), _fmt(last.wall_time_s),
-            ] if last else ["", "", "0", "0", "0"]))
-        _write_csv(new("summary.csv"), "solver,seed,final_F,"
-                   "final_gap_or_cert,iters,oracle_calls,wall_time_s", summary)
-    except BaseException:
-        for path in created:
-            if os.path.isfile(path):
-                os.remove(path)
-        raise
-    return 0
+    outputs, summary, tag = [], [], _solver_tag(cfg.solver)
+    for seed, trace in zip(cfg.seeds, _map_jobs(cfg, obj, solve, oracles)):
+        outputs.append((f"trace_{tag}_{seed}.csv", partial(write_trace, trace=trace)))
+        last = trace[-1] if trace else None
+        summary.append([cfg.solver, str(seed)] + ([
+            _fmt(last.F_value), _fmt(last.certificate_gap), str(last.k),
+            str(last.cum_oracle_calls), _fmt(last.wall_time_s),
+        ] if last else ["", "", "0", "0", "0"]))
+    header = "solver,seed,final_F,final_gap_or_cert,iters,oracle_calls,wall_time_s"
+    return outputs + [("summary.csv", partial(_write_csv, header, summary))]
 
 
 def cmd_sweep(cfg):
@@ -359,11 +369,10 @@ def cmd_sweep(cfg):
     # a nan mean (--iters 0) ranks after every number
     best = min(range(len(rows)), key=lambda i: (
         (1, 0.0) if math.isnan(rows[i][2]) else (0, rows[i][2]), rows[i][1]))
-    _write_csv(os.path.join(cfg.out, "sweep.csv"),
-               "solver,param,value,mean_final_F,best",
-               ([cfg.solver, param, _fmt(value), _fmt(F), str(int(i == best))]
-                for i, (param, value, F) in enumerate(rows)))
-    return 0
+    return [("sweep.csv", partial(
+        _write_csv, "solver,param,value,mean_final_F,best",
+        [[cfg.solver, param, _fmt(value), _fmt(F), str(int(i == best))]
+         for i, (param, value, F) in enumerate(rows)]))]
 
 
 class _Domination:
@@ -410,10 +419,10 @@ def cmd_compare(cfg):
         H = [rec.H for rec in traces[recorded][0]]
         columns.append(np.asarray(domination.h_prime) - np.asarray(H))
         header.append("adagrad_domination")
-    _write_csv(os.path.join(cfg.out, "compare.csv"), ",".join(header),
-               ([str(i + 1)] + [_fmt(c[i]) for c in columns]
-                for i in range(min(len(c) for c in columns))))
-    return 0
+    return [("compare.csv", partial(
+        _write_csv, ",".join(header),
+        [[str(i + 1)] + [_fmt(c[i]) for c in columns]
+         for i in range(min(len(c) for c in columns))]))]
 
 
 def _build_config(args):
@@ -451,11 +460,13 @@ def main(argv=None):
                                metavar=flag[2:].replace("-", "_").upper())
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](_build_config(args))
+        cfg = _build_config(args)
+        _publish(cfg.out, COMMANDS[args.command](cfg))
     except (ValueError, OSError) as exc:
         print(f"ugbench: {exc}", file=sys.stderr)
         data_error = isinstance(exc, (dataio.LibsvmParseError, OSError))
         return EXIT_DATA_ERROR if data_error else EXIT_BAD_CONFIG
+    return 0
 
 
 if __name__ == "__main__":

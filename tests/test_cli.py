@@ -34,6 +34,8 @@ def read_csv(path):
 
 
 SMALL = ["--data", "synthetic:20:8:0", "--iters", "200"]
+# a seed whose trace file name is longer than a file system allows
+LONG_SEED = "9" * 250
 
 
 def _spec_args(command, flag, spec):
@@ -382,15 +384,21 @@ class TestBadInputs:
         assert out.exists() == (error is None)
 
     @pytest.mark.parametrize("out, reason", [
-        ("afile", "File exists"), ("afile/sub", "Not a directory")])
+        ("afile", "File exists"), ("afile/sub", "Not a directory"),
+        ("", "No such file or directory")])
     def test_out_that_cannot_be_created_is_a_config_error(
-            self, tmp_path, capsys, out, reason):
+            self, tmp_path, monkeypatch, capsys, out, reason):
+        # os.makedirs's reason, given before the data is read
+        def forbidden(cfg):
+            pytest.fail("a bad --out must be rejected before the data is read")
+        monkeypatch.setattr("ugbench.cli.load_dataset", forbidden)
+        monkeypatch.chdir(tmp_path)
         (tmp_path / "afile").write_text("")
-        out = tmp_path / out
         rc = main(["run", "--data", "synthetic:5:2", "--iters", "3",
-                   "--out", str(out)])
+                   "--out", out])
         assert rc == EXIT_BAD_CONFIG
         assert capsys.readouterr().err == f"ugbench: --out {out}: {reason}\n"
+        assert os.listdir(tmp_path) == ["afile"]
 
     @pytest.mark.parametrize("command, name", [
         ("run", "trace_ugm_0.csv"), ("run", "summary.csv"),
@@ -404,20 +412,50 @@ class TestBadInputs:
         assert capsys.readouterr().err == (
             f"ugbench: --out {tmp_path / name}: Is a directory\n")
 
-    @pytest.mark.parametrize("name", ["trace_ugm_1.csv", "summary.csv"])
+    @pytest.mark.parametrize("command, args, out, name, reason", [
+        pytest.param("run", ["--seeds", "0,1,2"], "", name, "Is a directory",
+                     id=name) for name in ("trace_ugm_1.csv", "summary.csv")
+    ] + [
+        pytest.param(command, args, "", f"{command}.csv", "Is a directory",
+                     id=f"{command}.csv")
+        for command, args in (("sweep", ["--diameters", "2,1"]),
+                              ("compare", ["--solvers", "usgm,ugm"]))
+    ] + [
+        # a trace name too long for the file system, in a fresh nested --out
+        pytest.param("run", ["--seeds", f"0,{LONG_SEED}"], "new/sub",
+                     f"trace_ugm_{LONG_SEED}.csv", "File name too long",
+                     id="new-sub")])
     def test_output_that_cannot_be_written_leaves_no_file_it_created(
-            self, tmp_path, capsys, name):
-        # the traces before the failing output are removed; files that were
+            self, tmp_path, capsys, command, args, out, name, reason):
+        # the outputs written before the failing one are removed, and so are
+        # the directories of --out that the call created; files that were
         # there before the call are left alone
-        (tmp_path / name).mkdir()
+        if not out:
+            (tmp_path / name).mkdir()
         (tmp_path / "trace_ugm_2.csv").write_text("old\n")
-        rc = main(["run", "--data", "synthetic:5:2", "--iters", "3",
-                   "--seeds", "0,1,2", "--out", str(tmp_path)])
+        before = sorted(os.listdir(tmp_path))
+        rc = main([command, "--data", "synthetic:5:2", "--iters", "3", *args,
+                   "--out", str(tmp_path / out)])
         assert rc == EXIT_BAD_CONFIG
         assert capsys.readouterr().err == (
-            f"ugbench: --out {tmp_path / name}: Is a directory\n")
-        assert sorted(os.listdir(tmp_path)) == sorted([name, "trace_ugm_2.csv"])
-        assert (tmp_path / name).is_dir()
+            f"ugbench: --out {tmp_path / out / name}: {reason}\n")
+        assert sorted(os.listdir(tmp_path)) == before
+        if not out:
+            assert (tmp_path / name).is_dir()
+
+    @pytest.mark.parametrize("command, args", [
+        ("run", []), ("sweep", ["--diameters", "2,1"]),
+        ("compare", ["--solvers", "usgm,ugm"])], ids=["run", "sweep", "compare"])
+    def test_solve_that_raises_leaves_no_out(self, tmp_path, monkeypatch,
+                                             capsys, command, args):
+        # outputs are written only after every solve is done
+        def failing(*a, **kw):
+            raise ValueError("the solve failed")
+        monkeypatch.setattr(ugbench.solvers, "run_ugm", failing)
+        rc = main([command, *SMALL, *args, "--out", str(tmp_path / "new" / "sub")])
+        assert rc == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == "ugbench: the solve failed\n"
+        assert os.listdir(tmp_path) == []
 
     def test_malformed_libsvm_file(self, tmp_path, capsys):
         path = tmp_path / "bad.libsvm"
