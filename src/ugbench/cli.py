@@ -4,10 +4,10 @@ Subcommands: run (single solve per seed, CSV traces + summary), sweep
 (grid of sgd step sizes or of diameters, best grid point marked), compare
 (several solvers on a shared problem, wide CSV of objective values).
 
-Each command solves first and returns its outputs; main then writes them
-(_publish), and if anything fails, nothing that the call created remains.
-All outputs are pure functions of (config, seeds); wall-time columns are
-informational only.
+Each command solves first and returns its outputs; main writes them
+(_publish): on any failure, what the call created is removed and what it
+overwrote has its old bytes back.  All outputs are pure functions of
+(config, seeds); wall-time columns are informational only.
 """
 
 import argparse
@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +69,7 @@ class RunConfig:
     steps: tuple = _option("--steps", DEFAULT_STEP_GRID, _floats, ("sweep",))
     diameters: tuple = _option("--diameters", DEFAULT_DIAMETER_GRID, _floats,
                                ("sweep",))
-    # compare's solver specs; () means (solver,)
+    # compare's solver specs
     solvers: tuple = _option("--solvers", (), _split(str), ("compare",))
     # default identity metric; MetricSpace checks its values in make_problem
     b_diag: tuple = _option(None, None, _floats, ())
@@ -90,12 +91,6 @@ class RunConfig:
 
 
 OPTIONS = {f.name: f.metadata["option"] for f in fields(RunConfig)}
-
-
-def _fmt(v):
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return ""
-    return f"{v:.17g}"
 
 
 def parse_config_file(path):
@@ -249,20 +244,16 @@ def parse_solver(spec, D):
     raise ConfigError(f"bad solver {spec!r}; expected {SOLVER_GRAMMAR}")
 
 
-def _write_csv(header, rows, path):
+def _write_csv(header, row, rows, path):
+    """header, then row % r per tuple r; a nan prints as an empty field, as
+    no row starts with one and no text field holds "," or starts "nan"."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
-
-
-# one trace record; a nan prints as "nan", which _fmt writes as ""
-_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
+        fh.write("".join([row % r for r in rows]).replace(",nan", ","))
 
 
 def write_trace(path, trace):
-    with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        fh.write("".join([_TRACE_ROW % rec for rec in trace]).replace("nan", ""))
+    _write_csv(TRACE_HEADER, "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n", trace, path)
 
 
 def _missing(out):
@@ -282,16 +273,23 @@ def _missing(out):
 def _publish(out, outputs):
     """Create out, then write each (name, write) output by write(out/name).
     On any exception, remove the files and then the directories, deepest
-    first, that this call created; an OSError is a ConfigError naming its path."""
+    first, that this call created, and write the old bytes back to each file
+    that it overwrote; an OSError is a ConfigError naming its path."""
     steps = [(out, partial(os.makedirs, exist_ok=True))] + [
         (os.path.join(out, name), write) for name, write in outputs]
     created = [p for p, _ in steps[1:] if not os.path.lexists(p)] + _missing(out)
+    # the bytes of each regular file that an output overwrites
+    old = {p: Path(p).read_bytes() for p, _ in steps[1:]
+           if os.path.isfile(p) and os.access(p, os.R_OK)}
     try:
         for path, step in steps:
             step(path)
     except BaseException as exc:
         for made in filter(os.path.lexists, created):
             (os.rmdir if os.path.isdir(made) else os.remove)(made)
+        for kept, data in old.items():
+            if Path(kept).read_bytes() != data:  # equal if its write could not open it
+                Path(kept).write_bytes(data)
         if isinstance(exc, OSError):
             raise ConfigError(f"--out {path}: {exc.strerror or exc}") from None
         raise
@@ -341,12 +339,12 @@ def cmd_run(cfg):
     for seed, trace in zip(cfg.seeds, _map_jobs(cfg, obj, solve, oracles)):
         outputs.append((f"trace_{tag}_{seed}.csv", partial(write_trace, trace=trace)))
         last = trace[-1] if trace else None
-        summary.append([cfg.solver, str(seed)] + ([
-            _fmt(last.F_value), _fmt(last.certificate_gap), str(last.k),
-            str(last.cum_oracle_calls), _fmt(last.wall_time_s),
-        ] if last else ["", "", "0", "0", "0"]))
+        summary.append((cfg.solver, seed) + ((
+            last.F_value, last.certificate_gap, last.k, last.cum_oracle_calls,
+            last.wall_time_s) if last else (math.nan, math.nan, 0, 0, 0.0)))
     header = "solver,seed,final_F,final_gap_or_cert,iters,oracle_calls,wall_time_s"
-    return outputs + [("summary.csv", partial(_write_csv, header, summary))]
+    return outputs + [("summary.csv", partial(
+        _write_csv, header, "%s,%d,%.17g,%.17g,%d,%d,%.17g\n", summary))]
 
 
 def cmd_sweep(cfg):
@@ -370,9 +368,8 @@ def cmd_sweep(cfg):
     best = min(range(len(rows)), key=lambda i: (
         (1, 0.0) if math.isnan(rows[i][2]) else (0, rows[i][2]), rows[i][1]))
     return [("sweep.csv", partial(
-        _write_csv, "solver,param,value,mean_final_F,best",
-        [[cfg.solver, param, _fmt(value), _fmt(F), str(int(i == best))]
-         for i, (param, value, F) in enumerate(rows)]))]
+        _write_csv, "solver,param,value,mean_final_F,best", "%s,%s,%.17g,%.17g,%d\n",
+        [(cfg.solver, *row, i == best) for i, row in enumerate(rows)]))]
 
 
 class _Domination:
@@ -389,7 +386,7 @@ class _Domination:
 
 
 def cmd_compare(cfg):
-    specs = cfg.solvers or (cfg.solver,)
+    specs = cfg.solvers
     if len(specs) < 2:
         raise ConfigError("compare needs at least two solvers")
     solves = [parse_solver(spec, cfg.D) for spec in specs]
@@ -420,9 +417,8 @@ def cmd_compare(cfg):
         columns.append(np.asarray(domination.h_prime) - np.asarray(H))
         header.append("adagrad_domination")
     return [("compare.csv", partial(
-        _write_csv, ",".join(header),
-        [[str(i + 1)] + [_fmt(c[i]) for c in columns]
-         for i in range(min(len(c) for c in columns))]))]
+        _write_csv, ",".join(header), "%d" + ",%.17g" * len(columns) + "\n",
+        [(k, *F) for k, F in enumerate(zip(*columns), start=1)]))]
 
 
 def _build_config(args):

@@ -121,9 +121,7 @@ def _start_point(obj, x0, max_iters, trace_every):
 
 
 def _as_oracle(obj, oracle):
-    if oracle is None:
-        return Oracle(obj, OracleConfig(kind="exact"))
-    if isinstance(oracle, OracleConfig):
+    if oracle is None or isinstance(oracle, OracleConfig):
         return Oracle(obj, oracle)
     return oracle
 

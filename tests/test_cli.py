@@ -1,7 +1,11 @@
 import csv
+import errno
+import math
 import os
 import threading
 import tracemalloc
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,10 @@ from ugbench.cli import (
     EXIT_DATA_ERROR,
     PROBLEM_GRAMMAR,
     TRACE_HEADER,
+    ConfigError,
     RunConfig,
+    _publish,
+    _write_csv,
     load_dataset,
     main,
     make_oracle_config,
@@ -135,6 +142,17 @@ class TestRun:
         assert ([r[:7] for r in read_csv(tmp_path / "trace_ugm_0.csv")]
                 == [r[:7] for r in read_csv(expected)])
 
+    def test_run_of_no_iterations_writes_empty_traces(self, tmp_path):
+        # an empty trace's summary row has no F or gap and 0 iterations
+        rc = main(["run", "--data", "synthetic:5:2", "--iters", "0",
+                   "--seeds", "0,7", "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "summary.csv").read_text().splitlines()[1:] == [
+            "ugm,0,,,0,0,0", "ugm,7,,,0,0,0"]
+        for seed in (0, 7):
+            assert ((tmp_path / f"trace_ugm_{seed}.csv").read_text()
+                    == TRACE_HEADER + "\n")
+
     def test_solver_tag_escapes_separators(self, tmp_path):
         out = str(tmp_path)
         rc = main(["run", "--solver", "sgd:0.1", *SMALL, "--out", out])
@@ -152,6 +170,16 @@ class TestRun:
             rb = read_csv(os.path.join(b, f"trace_usgm_{s}.csv"))
             for r1, r2 in zip(ra, rb):
                 assert r1[:7] == r2[:7]
+
+
+def test_write_csv_prints_each_row_by_its_format_and_nan_empty(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv("s,a,b,c,n,t", "%s,%.17g,%.17g,%.17g,%d,%d\n",
+               [("x", math.nan, math.inf, -math.inf, 10 ** 249, True),
+                ("y", 0.1, math.nan, math.nan, -3, False)], path)
+    assert path.read_text() == ("s,a,b,c,n,t\n"
+                                f"x,,inf,-inf,1{'0' * 249},1\n"
+                                "y,0.10000000000000001,,,-3,0\n")
 
 
 @pytest.mark.parametrize("args, solves", [
@@ -429,7 +457,7 @@ class TestBadInputs:
             self, tmp_path, capsys, command, args, out, name, reason):
         # the outputs written before the failing one are removed, and so are
         # the directories of --out that the call created; files that were
-        # there before the call are left alone
+        # there before the call keep their bytes
         if not out:
             (tmp_path / name).mkdir()
         (tmp_path / "trace_ugm_2.csv").write_text("old\n")
@@ -440,8 +468,27 @@ class TestBadInputs:
         assert capsys.readouterr().err == (
             f"ugbench: --out {tmp_path / out / name}: {reason}\n")
         assert sorted(os.listdir(tmp_path)) == before
+        assert (tmp_path / "trace_ugm_2.csv").read_text() == "old\n"
         if not out:
             assert (tmp_path / name).is_dir()
+
+    def test_output_whose_write_could_not_open_it_is_not_written_back(
+            self, tmp_path, monkeypatch):
+        # a file that the failing write left alone (a read-only one, say) is
+        # not written to; one written before the failure gets its bytes back
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text(f"old {name}\n")
+
+        def cannot_open(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        restored, write_bytes = [], Path.write_bytes
+        monkeypatch.setattr(Path, "write_bytes", lambda self, data: (
+            restored.append(self.name), write_bytes(self, data)))
+        with pytest.raises(ConfigError, match="b.csv: Permission denied"):
+            _publish(str(tmp_path), [("a.csv", partial(write_trace, trace=[])),
+                                     ("b.csv", cannot_open)])
+        assert restored == ["a.csv"]
+        assert (tmp_path / "a.csv").read_text() == "old a.csv\n"
 
     @pytest.mark.parametrize("command, args", [
         ("run", []), ("sweep", ["--diameters", "2,1"]),

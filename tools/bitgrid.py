@@ -7,7 +7,9 @@ directory and the SHA-256 of each file there, with the CSV columns named
 `wall_time_s` cut.  The grid covers problems ls, logistic and ppower:1.5 x
 oracles exact, gaussian:1.0 and minibatch:1/4/64 x --trace-every 1 and 7,
 with --seeds 0,1,2 and 1500 iterations: a run of every solver, two sweeps
-and a compare per cell, plus a few invocations that fail.
+and a compare per cell, plus a few invocations that fail and a run of no
+iterations.  An invocation is keyed by its argv and the entries made in its
+directory before the call.
 
     python tools/bitgrid.py [--src DIR] [--manifest PATH]
     python tools/bitgrid.py --against REV
@@ -69,9 +71,14 @@ def grid():
     yield ["run", "--problem", "bogus", *TINY, "--out", "out"], []
     yield (["run", *TINY, "--seeds", "0,1,2", "--out", "out"],
            [("dir", "out/trace_ugm_1.csv"), ("file", "out/trace_ugm_2.csv")])
+    # trace_ugm_2.csv is overwritten before summary.csv fails
+    yield (["run", *TINY, "--seeds", "0,1,2", "--out", "out"],
+           [("file", "out/trace_ugm_2.csv"), ("dir", "out/summary.csv")])
     yield ["sweep", *TINY, "--out", "out"], [("dir", "out/sweep.csv")]
     yield (["compare", *TINY, "--solvers", "usgm,adagrad", "--out", "out"],
            [("dir", "out/compare.csv")])
+    yield ["run", "--data", "synthetic:5:2", "--iters", "0", "--seeds", "0,7",
+           "--out", "out"], []
 
 
 def _sha256(data):
@@ -131,7 +138,8 @@ def run_grid(src):
             os.mkdir(workdir)
             os.chdir(workdir)
             try:
-                key = " ".join(argv).replace(LONG_SEED, "<9 x 250>")
+                key = " ".join(argv).replace(LONG_SEED, "<9 x 250>") + "".join(
+                    f" [{kind} {path}]" for kind, path in setup)
                 manifest[key] = _record(cli, argv, setup)
             finally:
                 os.chdir(cwd)
