@@ -194,7 +194,8 @@ def make_oracle_config(spec, seed):
 
 
 class Solve(NamedTuple):
-    """A parsed solver spec: calls solvers.<entry>(obj, **kwargs, ...)."""
+    """A parsed solver spec: solvers.<entry>(obj, **kwargs, ...), whose
+    seeds solvers._run_seeds solves."""
     entry: str
     kwargs: dict
 
@@ -202,12 +203,6 @@ class Solve(NamedTuple):
     def needs_exact_oracle(self):
         return (self.entry == "run_ugm"
                 or self.kwargs.get("surrogate_mode") == "deterministic_bregman")
-
-    def __call__(self, obj, oracle, max_iters, trace_every):
-        # looked up per call, so that a wrapper patched onto solvers is used
-        return getattr(solvers, self.entry)(
-            obj, oracle=oracle, max_iters=max_iters, trace_every=trace_every,
-            **self.kwargs)
 
 
 SOLVER_GRAMMAR = ("ugm, usgm, usfgm[:deterministic], adagrad[:grad_diff|grad_norm]"
@@ -223,9 +218,8 @@ def _sgd_step(value):
 
 
 def parse_solver(spec, D):
-    """The one reader of solver specs: spec -> solve(obj, oracle, max_iters,
-    trace_every) with diameter D.  Anything outside SOLVER_GRAMMAR raises
-    ConfigError."""
+    """The one reader of solver specs: spec -> Solve with diameter D.
+    Anything outside SOLVER_GRAMMAR raises ConfigError."""
     D = solvers.check_diameter(D)
     name, *args = spec.split(":")
     if name in ("ugm", "usgm") and not args:
@@ -315,28 +309,13 @@ def _prepare(cfg, solves):
     return obj, [[Oracle(obj, config) for config in configs] for _ in solves]
 
 
-_LANE_ENTRIES = ("run_usgm", "run_adagrad_norm")
-
-
-def _map_jobs(cfg, obj, solve, oracles):
-    """The trace of solve on each seed's oracle.
-
-    Several seeds of usgm and adagrad run as the lanes of one pass
-    (solvers._run_lanes), which needs what _prepare builds: oracles of one
-    spec on a built-in objective.  Other solves run seed by seed.
-    """
-    if solve.entry in _LANE_ENTRIES and len(oracles) > 1:
-        return [trace for _, trace in solvers._run_lanes(
-            obj, oracles, cfg.max_iters, cfg.trace_every, **solve.kwargs)]
-    return [solve(obj, oracle, cfg.max_iters, cfg.trace_every)[1]
-            for oracle in oracles]
-
-
 def cmd_run(cfg):
     solve = parse_solver(cfg.solver, cfg.D)
     obj, [oracles] = _prepare(cfg, [(cfg.solver, solve)])
     outputs, summary, tag = [], [], _solver_tag(cfg.solver)
-    for seed, trace in zip(cfg.seeds, _map_jobs(cfg, obj, solve, oracles)):
+    traces = solvers._run_seeds(solve.entry, obj, oracles, cfg.max_iters,
+                                cfg.trace_every, **solve.kwargs)
+    for seed, trace in zip(cfg.seeds, traces):
         outputs.append((f"trace_{tag}_{seed}.csv", partial(write_trace, trace=trace)))
         last = trace[-1] if trace else None
         summary.append((cfg.solver, seed) + ((
@@ -358,10 +337,15 @@ def cmd_sweep(cfg):
             kwargs={"step_rule": (rule, _sgd_step(s))})) for s in cfg.steps]
     else:
         grid = [("D", d, parse_solver(cfg.solver, d)) for d in cfg.diameters]
+    values = tuple(value for _, value, _ in grid)
+    if len(set(values)) < len(values):  # one point solved twice, in two rows
+        raise ConfigError(f"sweep grid must be distinct, got {values}")
     obj, oracles = _prepare(cfg, [(cfg.solver, solve) for _, _, solve in grid])
     rows = [(param, value, float(np.mean([
                 trace[-1].F_value if trace else math.nan
-                for trace in _map_jobs(cfg, obj, solve, seed_oracles)])))
+                for trace in solvers._run_seeds(
+                    solve.entry, obj, seed_oracles, cfg.max_iters,
+                    cfg.trace_every, **solve.kwargs)])))
             for (param, value, solve), seed_oracles in zip(grid, oracles)]
     # ties break toward the smaller parameter value, then the earlier row;
     # a nan mean (--iters 0) ranks after every number
@@ -401,7 +385,8 @@ def cmd_compare(cfg):
         recorded = solves.index(usgm)
         domination = oracles[recorded][0].grads = _Domination(
             solvers._adagrad_coefficient(obj.metric.b_diag, cfg.D, "grad_diff"))
-    traces = [_map_jobs(cfg, obj, solve, seed_oracles)
+    traces = [solvers._run_seeds(solve.entry, obj, seed_oracles, cfg.max_iters,
+                                 cfg.trace_every, **solve.kwargs)
               for solve, seed_oracles in zip(solves, oracles)]
     columns = []
     for per_seed in traces:

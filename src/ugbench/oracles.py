@@ -135,7 +135,6 @@ def _lane_view(obj, oracles):
                          "built-in objective")
     view = copy(first)
     view.calls = 0
-    if not first.is_exact:
-        inputs = [o._inputs for o in oracles]
-        view._inputs = lambda: np.array([draw() for draw in inputs])
+    inputs = [o._inputs for o in oracles]
+    view._inputs = lambda: np.array([draw() for draw in inputs])
     return view

@@ -19,7 +19,8 @@ the next H.  _run_lanes runs seeds of either as the lanes of one pass
 through _run too: the same step, on the lane kernels over an S x n state
 and a lane view of the first oracle, gives each lane the bits of its
 one-seed solve and its oracle that solve's calls; the first oracle's
-grads, if a list, records lane 0's draws.
+grads, if a list, records lane 0's draws.  _run_seeds alone decides how
+a command's seeds are solved: once, as lanes or one by one.
 """
 
 import math
@@ -475,10 +476,10 @@ def _lane_adagrad_coefficient(b, D, gamma_variant, S):
 def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
                gamma_variant=None):
     """run_usgm, or run_adagrad_norm if gamma_variant is set, once per
-    oracle, as the lanes of one pass.
+    oracle, as the lanes of one pass; _run_seeds sends it 3 or more seeds.
 
     The oracles are built-in ones of one kind on obj (see
-    oracles._lane_view).  Each product with A is one gemv per lane and
+    oracles._lane_view), exact ones too.  Each product with A is one gemv per lane and
     each lane draws from its own oracle's generator, so lane s returns the
     (x, trace) of the one-seed solve on oracles[s] bit for bit, apart from
     wall_time_s, which is the pass's clock; a failed check raises the
@@ -502,3 +503,19 @@ def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
             k, F, H, r, beta, gap, [oracle.calls + c for c in calls], t)))))
         oracle.calls += lanes.calls
     return out
+
+
+def _run_seeds(entry, obj, oracles, max_iters, trace_every, **kwargs):
+    """The trace of <entry>(obj, oracle, **kwargs, ...) on each of the
+    oracles, one per seed, of one spec: one solve that every seed shares if
+    they draw nothing, one _run_lanes pass for 3 or more seeds of USGM or
+    AdaGrad (at 2 it costs more than two solves), else seed by seed.  Both
+    are looked up here per call, so a wrapper patched onto them is used."""
+    solve = partial(globals()[entry], obj, max_iters=max_iters,
+                    trace_every=trace_every, **kwargs)
+    if oracles[0].is_exact:
+        return [solve(oracle=oracles[0])[1]] * len(oracles)
+    if len(oracles) >= 3 and entry in ("run_usgm", "run_adagrad_norm"):
+        return [trace for _, trace in _run_lanes(
+            obj, oracles, max_iters, trace_every, **kwargs)]
+    return [solve(oracle=oracle)[1] for oracle in oracles]

@@ -26,7 +26,6 @@ from ugbench.cli import (
     make_oracle_config,
     make_problem,
     parse_config_file,
-    parse_solver,
     write_trace,
 )
 from ugbench.dataio import synth_least_squares
@@ -185,8 +184,9 @@ def test_write_csv_prints_each_row_by_its_format_and_nan_empty(tmp_path):
 @pytest.mark.parametrize("args, solves", [
     (["run", "--solver", "sgd:0.1", "--oracle", "minibatch:4"], 3),
     (["run", "--solver", "usfgm", "--oracle", "gaussian:0.5"], 3),
-    (["sweep", "--solver", "ugm", "--diameters", "2,1"], 6),
-    (["compare", "--solvers", "ugm,usfgm:deterministic,sgd:0.1"], 9),
+    # exact seeds share one solve
+    (["sweep", "--solver", "ugm", "--diameters", "2,1"], 2),
+    (["compare", "--solvers", "ugm,usfgm:deterministic,sgd:0.1"], 3),
 ])
 def test_jobs_runs_every_solve_in_the_calling_thread(tmp_path, monkeypatch,
                                                      args, solves):
@@ -199,6 +199,36 @@ def test_jobs_runs_every_solve_in_the_calling_thread(tmp_path, monkeypatch,
     assert main([*args, *SMALL, "--seeds", "0,1,2", "--jobs", "2",
                  "--out", str(tmp_path)]) == 0
     assert threads == [threading.get_ident()] * solves
+
+
+def test_seeds_that_draw_nothing_share_one_solve(tmp_path, monkeypatch):
+    calls = []
+    for entry in ("run_ugm", "run_usgm", "run_usfgm", "run_projected_subgrad",
+                  "run_adagrad_norm"):
+        def counting(*a, solve=getattr(ugbench.solvers, entry), entry=entry,
+                     **kw):
+            calls.append(entry)
+            return solve(*a, **kw)
+        monkeypatch.setattr(ugbench.solvers, entry, counting)
+    seeds = ["--seeds", "0,1,2"]
+    assert main(["run", *SMALL, *seeds, "--out", str(tmp_path / "run")]) == 0
+    assert calls == ["run_ugm"]
+    for seed in (0, 1, 2):
+        one = tmp_path / str(seed)
+        assert main(["run", *SMALL, "--seeds", str(seed), "--out", str(one)]) == 0
+        trace = f"trace_ugm_{seed}.csv"
+        assert ([r[:7] for r in read_csv(tmp_path / "run" / trace)]
+                == [r[:7] for r in read_csv(one / trace)])
+    calls.clear()
+    assert main(["sweep", "--diameters", "2,1", *SMALL, *seeds,
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert calls == ["run_ugm"] * 2
+    calls.clear()
+    assert main(["compare", "--solvers",
+                 "ugm,usgm,usfgm:deterministic,adagrad,sgd:0.1", *SMALL,
+                 *seeds, "--out", str(tmp_path / "compare")]) == 0
+    assert calls == ["run_ugm", "run_usgm", "run_usfgm", "run_adagrad_norm",
+                     "run_projected_subgrad"]
 
 
 class TestBadInputs:
@@ -689,8 +719,8 @@ class TestConfigFile:
         cfg = RunConfig(solver="ugm", data="synthetic:10:3:0", max_iters=30,
                         b_diag=(1.0, 2.0, 3.0))
         obj = make_problem(cfg, load_dataset(cfg))
-        _, trace = parse_solver(cfg.solver, cfg.D)(
-            obj, Oracle(obj, OracleConfig()), cfg.max_iters, cfg.trace_every)
+        _, trace = run_ugm(obj, Oracle(obj, OracleConfig()), cfg.D,
+                           cfg.max_iters, trace_every=cfg.trace_every)
         expected = tmp_path / "expected.csv"
         write_trace(expected, trace)
         assert traces["weighted"] == [r[:7] for r in read_csv(expected)]
@@ -762,6 +792,26 @@ class TestSweep:
             finals = [float(r[2]) for r in read_csv(out / "summary.csv")[1:]]
             assert float(row[2]) == float(step)
             assert float(row[3]) == float(np.mean(finals))
+
+    @pytest.mark.parametrize("args, values", [
+        (["--solver", "usgm", "--diameters", "5,5.0,2"], "(5.0, 5.0, 2.0)"),
+        (["--solver", "sgd", "--steps", "1,1.0"], "(1.0, 1.0)")],
+        ids=["diameters", "steps"])
+    def test_repeated_grid_value_rejected(self, tmp_path, monkeypatch, capsys,
+                                          args, values):
+        # one value twice would solve one grid point twice, in two rows
+        def forbidden(cfg):
+            pytest.fail("a repeated grid value must be rejected before the data")
+        monkeypatch.setattr("ugbench.cli.load_dataset", forbidden)
+        out = tmp_path / "out"
+        assert main(["sweep", *args, "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"ugbench: sweep grid must be distinct, got {values}\n")
+
+    def test_repeated_value_of_the_grid_not_in_use_is_kept(self, tmp_path):
+        assert main(["sweep", "--solver", "ugm", "--steps", "1,1",
+                     "--diameters", "2,1", *SMALL, "--out", str(tmp_path)]) == 0
 
     def test_empty_grid_rejected(self, tmp_path):
         from ugbench.cli import RunConfig, cmd_sweep, ConfigError

@@ -5,18 +5,20 @@ over an S x n state.  Each lane's trace (every column but wall time), its
 average and its oracle's call count must equal the one-seed solve's, on the
 built-in objectives, oracles and balls, and through the rare branches: a
 lane still at H = 0, norms below the normal range, AdaGrad's rescaled sum
-and a failed check.  The CLI's lane path must write what its per-seed path
-writes.
+and a failed check.  The CLI runs three or more noisy seeds of either as
+lanes (solvers._run_seeds), and must write what one-seed solves write;
+two seeds it runs one by one.
 """
 
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 
-import ugbench.cli
 import ugbench.oracles
+import ugbench.solvers
 from helpers import RecordingOracle
 from ugbench.cli import main
 from ugbench.metric import MetricSpace
@@ -288,7 +290,50 @@ def test_cli_lanes_write_what_the_per_seed_path_writes(tmp_path, monkeypatch,
     common = [*args, "--data", "synthetic:20:8:0", "--iters", "60",
               "--trace-every", "3", "--seeds", "0,1,2"]
     assert main([*common, "--out", str(tmp_path / "lanes")]) == 0
-    monkeypatch.setattr(ugbench.cli, "_LANE_ENTRIES", ())
+
+    def per_seed(obj, oracles, max_iters, trace_every, D, gamma_variant=None):
+        solve = run_usgm if gamma_variant is None else partial(
+            run_adagrad_norm, gamma_variant=gamma_variant)
+        return [solve(obj, oracle, D=D, max_iters=max_iters,
+                      trace_every=trace_every)
+                for oracle in oracles]
+    monkeypatch.setattr(ugbench.solvers, "_run_lanes", per_seed)
     assert main([*common, "--out", str(tmp_path / "per-seed")]) == 0
     assert (read_outputs(tmp_path / "lanes")
             == read_outputs(tmp_path / "per-seed"))
+
+
+@pytest.mark.parametrize("solver, oracle", [("usgm", "gaussian:1.0"),
+                                            ("adagrad", "minibatch:4")])
+def test_two_seeds_run_one_by_one(tmp_path, monkeypatch, solver, oracle):
+    # at two seeds a lane pass costs more than two solves
+    def forbidden(*args, **kwargs):
+        pytest.fail("two seeds must not run as lanes")
+    monkeypatch.setattr(ugbench.solvers, "_run_lanes", forbidden)
+    common = ["--oracle", oracle, "--data", "synthetic:20:8:0", "--iters",
+              "60", "--trace-every", "3"]
+    outputs = {}
+    for seeds in ("0,1", "0", "1"):
+        for command in (["run", "--solver", solver],
+                        ["compare", "--solvers", "usgm,adagrad"]):
+            out = tmp_path / command[0] / seeds
+            assert main([*command, *common, "--seeds", seeds,
+                         "--out", str(out)]) == 0
+            outputs[command[0], seeds] = read_outputs(out)
+    two = outputs["run", "0,1"]
+    for seed in (0, 1):
+        one = outputs["run", str(seed)]
+        trace = f"trace_{solver}_{seed}.csv"
+        assert two[trace] == one[trace]
+        assert two["summary.csv"][1 + seed] == one["summary.csv"][1]
+    # each F column is the mean of the one-seed columns; the domination
+    # column is seed 0's
+    rows, ones = (outputs["compare", s]["compare.csv"] for s in ("0,1", "0"))
+    twos = outputs["compare", "1"]["compare.csv"]
+    assert rows[0] == ones[0] == ["k", "F_usgm", "F_adagrad",
+                                  "adagrad_domination"]
+    for row, a, b in zip(rows[1:], ones[1:], twos[1:], strict=True):
+        assert row[3] == a[3]
+        assert row[1:3] == [
+            "" if x == "" else f"{np.mean([float(x), float(y)]):.17g}"
+            for x, y in zip(a[1:3], b[1:3])]

@@ -7,9 +7,9 @@ directory and the SHA-256 of each file there, with the CSV columns named
 `wall_time_s` cut.  The grid covers problems ls, logistic and ppower:1.5 x
 oracles exact, gaussian:1.0 and minibatch:1/4/64 x --trace-every 1 and 7,
 with --seeds 0,1,2 and 1500 iterations: a run of every solver, two sweeps
-and a compare per cell, plus a few invocations that fail and a run of no
-iterations.  An invocation is keyed by its argv and the entries made in its
-directory before the call.
+and a compare per cell, plus a few invocations that fail, a run of no
+iterations and three of two noisy seeds.  An invocation is keyed by its
+argv and the entries made in its directory before the call.
 
     python tools/bitgrid.py [--src DIR] [--manifest PATH]
     python tools/bitgrid.py --against REV
@@ -79,6 +79,13 @@ def grid():
            [("dir", "out/compare.csv")])
     yield ["run", "--data", "synthetic:5:2", "--iters", "0", "--seeds", "0,7",
            "--out", "out"], []
+    # two noisy seeds, which run one by one, not as lanes
+    two = ["--data", DATA, "--iters", "300", "--seeds", "0,1", "--out", "out"]
+    yield ["run", "--solver", "usgm", "--oracle", "gaussian:1.0", *two], []
+    yield ["run", "--solver", "adagrad", "--oracle", "minibatch:4", *two], []
+    yield ["compare", "--solvers", "usgm,adagrad", "--oracle", "gaussian:1.0",
+           *two], []
+    yield ["sweep", *TINY, "--diameters", "5,5", "--out", "out"], []
 
 
 def _sha256(data):
