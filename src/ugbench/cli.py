@@ -78,8 +78,13 @@ class RunConfig:
         if not 0.0 < self.radius < math.inf:
             raise ConfigError(
                 f"radius must be positive and finite, got {self.radius}")
-        self.D = solvers.check_diameter(
-            2.0 * self.radius if self.D is None else self.D)
+        try:
+            self.D = solvers.check_diameter(
+                2.0 * self.radius if self.D is None else self.D)
+        except ValueError as exc:
+            if self.D is not None:
+                raise
+            raise ConfigError(f"--radius {self.radius!r}: derived {exc}") from None
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError(f"seeds must be nonempty and >= 0, got {self.seeds}")
         # two equal seeds would give two identical solves one trace file

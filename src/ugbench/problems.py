@@ -81,7 +81,8 @@ class CompositeObjective:
     subgradient.  Objectives of the form f(x) = loss(A x) also set A and
     loss(z) -> (value, w), with subgradient A.T @ w, so that solvers can
     carry A x along instead of recomputing it; value(x) then evaluates
-    loss(A x) alone, one product instead of two.
+    loss(A x) alone, one product instead of two.  The built-ins' value
+    computes F alone: the product and _loss_value, the loss's value part.
 
     The subgradient must have the shape of x; solvers check that on
     every evaluation.  The built-in factories' f_eval, value and row_grad
@@ -98,9 +99,13 @@ class CompositeObjective:
     A: Optional[np.ndarray] = None
     loss: Optional[Callable[[np.ndarray], tuple]] = None
     _lanes: bool = field(default=False, init=False, repr=False, compare=False)
+    _loss_value = None  # z = A x -> loss(z)[0] without w; built-ins only
 
     def value(self, x):
         x = np.asarray(x, dtype=np.float64)
+        if self._loss_value is not None:
+            value = self._loss_value(_stacked(self.A, x))
+            return float(value) if x.ndim == 1 else value
         if self.A is not None and self.loss is not None:
             return self.loss(_stacked(self.A, x))[0]
         return self.f_eval(x)[0]
@@ -180,12 +185,16 @@ def least_squares_f(A, b, domain=None, metric=None):
     A, b = _check_data(A, b)
     m = len(b)
 
+    def value(r):
+        return 0.5 * np.vecdot(r, r)
+
     def loss(z):
         r = z - b
-        return 0.5 * np.vecdot(r, r), r
+        return value(r), r
 
     # full gradient is the uniform mean over rows of m * r_i * a_i
-    return _loss_objective(A, loss, lambda z, idx: m * (z - b[idx]), domain, metric)
+    return _loss_objective(A, loss, lambda z: value(z - b),
+                           lambda z, idx: m * (z - b[idx]), domain, metric)
 
 
 def logistic_f(features, labels, domain=None, metric=None):
@@ -200,16 +209,18 @@ def logistic_f(features, labels, domain=None, metric=None):
         e = np.exp(-np.abs(z))
         return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
+    def value(margins):
+        return np.add.reduce(np.logaddexp(0.0, -margins), axis=-1)
+
     def loss(z):
         margins = b * z
-        value = np.add.reduce(np.logaddexp(0.0, -margins), axis=-1)
-        return value, -b * _sigmoid(-margins)
+        return value(margins), -b * _sigmoid(-margins)
 
     def row_weights(z, idx):
         signs = b[idx]
         return m * (-signs * _sigmoid(-(signs * z)))
 
-    return _loss_objective(A, loss, row_weights, domain, metric)
+    return _loss_objective(A, loss, lambda z: value(b * z), row_weights, domain, metric)
 
 
 def p_power_f(A, b, p, domain=None, metric=None):
@@ -227,25 +238,28 @@ def p_power_f(A, b, p, domain=None, metric=None):
         # a = |r|; sign(0) = 0 gives kinks the zero subgradient, also at p = 1
         return p * np.sign(r) * a ** (p - 1.0)
 
+    def value(a):
+        return np.add.reduce(a ** p, axis=-1) / m
+
     def loss(z):
         r = z - b
         a = np.abs(r)
-        return np.add.reduce(a ** p, axis=-1) / m, weights(r, a) / m
+        return value(a), weights(r, a) / m
 
     # f_eval, at one point or S lanes, divides by m after the product,
     # A.T @ loss(A x)[1] before
     def f_eval(x):
         r = _stacked(A, x) - b
         a = np.abs(r)
-        value = np.add.reduce(a ** p, axis=-1)
-        return (float(value) / m if x.ndim == 1 else value / m,
-                _stacked(A.T, weights(r, a)) / m)
+        f = value(a)
+        return float(f) if x.ndim == 1 else f, _stacked(A.T, weights(r, a)) / m
 
     def row_weights(z, idx):
         r = z - b[idx]
         return weights(r, np.abs(r))
 
-    return _loss_objective(A, loss, row_weights, domain, metric, f_eval)
+    return _loss_objective(A, loss, lambda z: value(np.abs(z - b)), row_weights,
+                           domain, metric, f_eval)
 
 
 def _check_data(A, b):
@@ -272,15 +286,16 @@ def _stacked(M, X):
     return np.matmul(M, X[..., None])[..., 0]
 
 
-def _loss_objective(A, loss, row_weights, domain, metric, f_eval=None):
+def _loss_objective(A, loss, loss_value, row_weights, domain, metric, f_eval=None):
     """The CompositeObjective of f(x) = loss(A x), lanes enabled, on the
     unit ball and Euclidean metric unless domain and metric are given.
 
     loss maps z = A x, or one such row per lane, to (values, w) with
-    subgradient A.T @ w; row_weights(A[idx] @ x, idx) gives each sampled
-    row's factor: row i's gradient is row_weights_i * a_i.  An f_eval
-    given, which must take lanes too, replaces loss(A x) with A.T @ w.
-    At one point, values are floats.
+    subgradient A.T @ w, and loss_value(z) to loss(z)[0]'s bits alone;
+    row_weights(A[idx] @ x, idx) gives each sampled row's factor: row i's
+    gradient is row_weights_i * a_i.  An f_eval given, which must take
+    lanes too, replaces loss(A x) with A.T @ w.  At one point, values are
+    floats.
     """
     m, n = A.shape
     A_T = A.T
@@ -302,6 +317,6 @@ def _loss_objective(A, loss, row_weights, domain, metric, f_eval=None):
         f_eval=f_eval, n_rows=m, row_grad=row_grad, A=A, loss=float_loss,
         domain=BallDomain(np.zeros(n), 1.0) if domain is None else domain,
         metric=MetricSpace.euclidean(n) if metric is None else metric)
-    obj._lanes = True
+    obj._lanes, obj._loss_value = True, loss_value
     return obj
 

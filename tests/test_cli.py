@@ -292,6 +292,22 @@ class TestBadInputs:
         assert rc == EXIT_BAD_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, args", [
+        ("run", ["--radius", "1e-170"]), ("run", ["--radius", "1e155"]),
+        ("sweep", ["--solver", "sgd", "--radius", "1e-170"]),
+    ])
+    def test_bad_radius_is_named_with_its_derived_diameter(
+            self, tmp_path, capsys, command, args):
+        # D = 2 * radius is derived, so the error names the flag given
+        out = tmp_path / "out"
+        rc = main([command, *SMALL, *args, "--out", str(out)])
+        assert rc == EXIT_BAD_CONFIG
+        assert not out.exists()
+        radius = float(args[-1])
+        assert capsys.readouterr().err == (
+            f"ugbench: --radius {radius!r}: derived D must be positive with "
+            f"0 < D*D < inf, got {2 * radius!r}\n")
+
     @pytest.mark.parametrize("command, args", BAD_SPECS)
     def test_bad_spec_rejected_before_output(self, tmp_path, command, args):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -365,6 +366,54 @@ def test_value_is_one_product_with_f_eval_bits(build):
         value = obj.value(x)
         assert A.count - start == 1
         assert float(value).hex() == float(obj.f_eval(x)[0]).hex()
+
+
+def _kinked(p=None):
+    # b = A x_0 on every other row, so r = 0 there at x_0, where p-power has
+    # its kinks; the lanes are x_0, the centre and a third point
+    rng = np.random.Generator(np.random.Philox(29))
+    A = rng.standard_normal((8, 3))
+    x0 = rng.standard_normal(3) / 4
+    b = rng.standard_normal(8)
+    b[::2] = (A @ x0)[::2]
+    obj = least_squares_f(A, b) if p is None else p_power_f(A, b, p)
+    return obj, np.stack([x0, np.zeros(3), rng.standard_normal(3) / 4])
+
+
+def _saturated():
+    # margins b_i <a_i, x> of 0 (logaddexp's equal arguments), +-40 and
+    # +-800 at x = 1 and x = -1, halved at x = 0.5
+    A = np.array([[0.0], [40.0], [-40.0], [800.0], [-800.0], [40.0], [800.0], [0.0]])
+    labels = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    return logistic_f(A, labels), np.array([[1.0], [-1.0], [0.5]])
+
+
+VALUE_CASES = {"least-squares": _kinked, "logistic": _saturated,
+               **{f"p-power-{p}": partial(_kinked, p) for p in (1.0, 1.5, 2.0)}}
+
+
+@pytest.mark.parametrize("case", VALUE_CASES.values(), ids=VALUE_CASES.keys())
+def test_value_has_the_bits_of_loss(case):
+    # at one point and at S rows, as the rows' products with A
+    obj, X = case()
+    Z = np.stack([obj.A @ x for x in X])
+    for x, z in zip(X, Z):
+        assert obj.value(x).hex() == obj.loss(z)[0].hex()
+    assert obj.value(X).tobytes() == obj.loss(Z)[0].tobytes()
+
+
+@pytest.mark.parametrize("case", VALUE_CASES.values(), ids=VALUE_CASES.keys())
+def test_value_computes_F_alone(case):
+    # a built-in's value needs neither the loss's weights nor the gradient
+    obj, X = case()
+    values, points = obj.value(X), [obj.value(x) for x in X]
+
+    def refuse(_):
+        raise AssertionError("value computed the gradient's weights")
+    obj.loss = obj.f_eval = refuse
+    assert [obj.value(x) for x in X] == points
+    assert [type(obj.value(x)) for x in X] == [float] * len(X)
+    assert obj.value(X).tobytes() == values.tobytes()
 
 
 # building the np.matrix input itself warns that the subclass is deprecated

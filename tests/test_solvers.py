@@ -10,6 +10,8 @@ from ugbench.problems import (
     BallDomain,
     CompositeObjective,
     least_squares_f,
+    logistic_f,
+    p_power_f,
     project_ball,
     prox_step,
 )
@@ -228,6 +230,7 @@ class TestUsgm:
 
 
 MODES = ("stochastic_symmetrized", "deterministic_bregman")
+GAUSSIAN = OracleConfig(kind="gaussian", sigma=1.0, seed=3)
 
 
 class TestUsfgm:
@@ -410,6 +413,32 @@ class TestMatvecCounts:
         run_usfgm(obj, OracleConfig(kind="gaussian", sigma=0.0),
                   surrogate_mode=mode, max_iters=10)
         assert A.count - start == 1 + 2 * 10
+
+    # over 10 iterations: two products (A x, A.T w) per gradient, which is
+    # one per iteration, plus the draw at x_0 for usgm and adagrad, and two
+    # per iteration for noisy usfgm; and one, A x, for the trace's F on each
+    # traced iteration: all 10 at trace_every=1, k = 7 and 10 at 7
+    @pytest.mark.parametrize("problem", [
+        least_squares_f,
+        lambda A, b: logistic_f(A, np.where(b >= 0.0, 1.0, -1.0)),
+        lambda A, b: p_power_f(A, b, 1.5),
+    ], ids=["least-squares", "logistic", "p-power"])
+    @pytest.mark.parametrize("run, oracle, counts", [
+        (run_usgm, None, (32, 24)), (run_usgm, GAUSSIAN, (32, 24)),
+        (run_adagrad_norm, None, (32, 24)), (run_adagrad_norm, GAUSSIAN, (32, 24)),
+        (run_projected_subgrad, None, (30, 22)),
+        (run_projected_subgrad, GAUSSIAN, (30, 22)),
+        (run_usfgm, GAUSSIAN, (50, 42)),
+    ], ids=["usgm", "usgm-gaussian", "adagrad", "adagrad-gaussian", "sgd",
+            "sgd-gaussian", "usfgm-gaussian"])
+    @pytest.mark.parametrize("trace_every", [1, 7])
+    def test_monitor_products(self, problem, run, oracle, counts, trace_every):
+        rng = np.random.Generator(np.random.Philox(52))
+        A = CountingMatrix(rng.random((30, 10)))
+        obj = problem(A, rng.standard_normal(30))
+        assert obj.A is A
+        run(obj, oracle, max_iters=10, trace_every=trace_every)
+        assert A.count == counts[trace_every > 1]
 
 
 class TestProjectedSubgrad:

@@ -8,7 +8,8 @@ directory and the SHA-256 of each file there, with the CSV columns named
 oracles exact, gaussian:1.0 and minibatch:1/4/64 x --trace-every 1 and 7,
 with --seeds 0,1,2 and 1500 iterations: a run of every solver, two sweeps
 and a compare per cell, plus a few invocations that fail, a run of no
-iterations and three of two noisy seeds.  An invocation is keyed by its
+iterations, three of two noisy seeds, six on ppower:1 and ppower:2 and two
+on logistic with --radius 100.  An invocation is keyed by its
 argv and the entries made in its directory before the call.
 
     python tools/bitgrid.py [--src DIR] [--manifest PATH]
@@ -86,6 +87,18 @@ def grid():
     yield ["compare", "--solvers", "usgm,adagrad", "--oracle", "gaussian:1.0",
            *two], []
     yield ["sweep", *TINY, "--diameters", "5,5", "--out", "out"], []
+    # F at every iteration, as the monitor computes it, at p-power's ends
+    # and on logistic margins that reach logaddexp's saturated range
+    monitored = ["--data", DATA, "--iters", "1500", "--seeds", "0,1,2", "--out", "out"]
+    solves = (("usgm", "gaussian:1.0"), ("sgd:0.1", "exact"),
+              ("adagrad", "minibatch:4"))
+    for problem in ("ppower:1", "ppower:2"):
+        for solver, oracle in solves:
+            yield ["run", "--problem", problem, "--solver", solver, "--oracle",
+                   oracle, "--trace-every", "1", *monitored], []
+    for solver in ("usgm", "usfgm"):
+        yield ["run", "--problem", "logistic", "--radius", "100", "--solver", solver,
+               "--oracle", "gaussian:1.0", *monitored], []
 
 
 def _sha256(data):
