@@ -123,18 +123,18 @@ class Oracle:
 def _lane_view(obj, oracles):
     """oracles[0] over lanes: draw(X) returns the S x n gradients that
     oracles[s] would draw at X[s], bit for bit, by its formula on every
-    oracle's inputs.  The view counts its calls from 0 and records lane 0's
-    draws where oracles[0].grads does.  obj must be a built-in objective
-    (obj._lanes), and the oracles built-in ones on it, of one configuration
-    apart from the seed."""
+    oracle's inputs; its lanes, S, makes a solver start from S rows.  It
+    counts calls from 0 and records lane 0's draws where oracles[0].grads
+    does.  obj must be a built-in objective (_loss_value set), and the
+    oracles noisy built-in ones on it, of one configuration but the seed."""
     first = oracles[0]
-    if not obj._lanes or any(type(o) is not Oracle or o.obj is not obj
-                             or replace(o.cfg, seed=first.cfg.seed) != first.cfg
-                             for o in oracles):
-        raise ValueError("lanes need built-in oracles of one kind on a "
+    if first.is_exact or obj._loss_value is None or any(
+            type(o) is not Oracle or o.obj is not obj
+            or replace(o.cfg, seed=first.cfg.seed) != first.cfg for o in oracles):
+        raise ValueError("lanes need built-in oracles of one noisy kind on a "
                          "built-in objective")
     view = copy(first)
-    view.calls = 0
+    view.calls, view.lanes = 0, len(oracles)
     inputs = [o._inputs for o in oracles]
     view._inputs = lambda: np.array([draw() for draw in inputs])
     return view

@@ -13,7 +13,7 @@ solvers pass each subgradient through _gradient.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,7 +88,7 @@ class CompositeObjective:
     every evaluation.  The built-in factories' f_eval, value and row_grad
     also take S points at once, the rows of an S x n X, and loss the rows
     of their products with A; each lane gets the bits of the one-point
-    call.  Only they set _lanes, which lets solvers run seeds as lanes.
+    call.  Only they set _loss_value, which lets solvers run seeds as lanes.
     """
 
     f_eval: Callable[[np.ndarray], tuple]
@@ -98,7 +98,6 @@ class CompositeObjective:
     row_grad: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     A: Optional[np.ndarray] = None
     loss: Optional[Callable[[np.ndarray], tuple]] = None
-    _lanes: bool = field(default=False, init=False, repr=False, compare=False)
     _loss_value = None  # z = A x -> loss(z)[0] without w; built-ins only
 
     def value(self, x):
@@ -205,9 +204,9 @@ def logistic_f(features, labels, domain=None, metric=None):
     m = len(b)
 
     def _sigmoid(z):
-        # exp(-|z|) <= 1 cannot overflow; each branch takes its side's exp
+        # exp(-|z|) <= 1 cannot overflow; the numerator is 1 for z >= 0, else e
         e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
     def value(margins):
         return np.add.reduce(np.logaddexp(0.0, -margins), axis=-1)
@@ -317,6 +316,6 @@ def _loss_objective(A, loss, loss_value, row_weights, domain, metric, f_eval=Non
         f_eval=f_eval, n_rows=m, row_grad=row_grad, A=A, loss=float_loss,
         domain=BallDomain(np.zeros(n), 1.0) if domain is None else domain,
         metric=MetricSpace.euclidean(n) if metric is None else metric)
-    obj._lanes, obj._loss_value = True, loss_value
+    obj._loss_value = loss_value
     return obj
 

@@ -15,12 +15,13 @@ what outside code returns is checked: each subgradient (_gradient),
 AdaGrad's H and, at H = 0, the dual norm of the direction (_prox_step) and
 the finiteness of beta and H (balance_update).
 USGM and AdaGrad share one step, _stochastic_step, which differs only in
-the next H.  _run_lanes runs seeds of either as the lanes of one pass
-through _run too: the same step, on the lane kernels over an S x n state
-and a lane view of the first oracle, gives each lane the bits of its
-one-seed solve and its oracle that solve's calls; the first oracle's
-grads, if a list, records lane 0's draws.  _run_seeds alone decides how
-a command's seeds are solved: once, as lanes or one by one.
+the next H.  Every step takes its kernels from _kernels(x): the 1-D ones
+at one point, their lane forms over an S x n state.  _run_lanes runs
+seeds of any method as the lanes of one pass: the method's own run_*, on
+a lane view of the oracles (oracles._lane_view) and from S equal rows,
+gives each lane the bits of its one-seed solve and its oracle that
+solve's calls; the first oracle's grads, if a list, records lane 0's
+draws.  _run_seeds alone decides how a command's seeds are solved.
 """
 
 import math
@@ -110,15 +111,16 @@ def _diameter(obj, D):
     return check_diameter(obj.domain.diameter_D if D is None else D)
 
 
-def _start_point(obj, x0, max_iters, trace_every):
-    """x0, by default the ball's centre, as a new float64 vector in the ball."""
+def _start_point(obj, oracle, x0, max_iters, trace_every):
+    """x0, by default the ball's centre, as a new float64 vector in the
+    ball, or as S equal rows if oracle is a lane view of S oracles."""
     check_iterations(max_iters, trace_every)
     domain, metric = obj.domain, obj.metric
     metric.check_dim(domain.center)
     x = metric.check_dim(np.array(
         domain.center if x0 is None else x0, dtype=np.float64))
     _require_in_ball(x, domain, metric, "start point x0")
-    return x
+    return np.tile(x, (oracle.lanes, 1)) if hasattr(oracle, "lanes") else x
 
 
 def _as_oracle(obj, oracle):
@@ -128,15 +130,15 @@ def _as_oracle(obj, oracle):
 
 
 def _kernels(x):
-    """(prox, norm, pairing, balance, adagrad_coefficient, H_0, nan) of
-    _stochastic_step over x; nan is what it records for an unmonitored
-    F or beta.  One solve gets the 1-D kernels, an S x n state their lane
-    forms, which one solve avoids: at S = 1 they cost ~2.5x per iteration."""
+    """(prox, project, norm, pairing, balance, adagrad_coefficient, H_0, nan)
+    of a step over x; nan is what it records for an unmonitored F or beta.
+    One solve gets the 1-D kernels, an S x n state their lane forms, which
+    one solve avoids: at S = 1 they cost ~2.5x per iteration."""
     if x.ndim == 1:
-        return (_prox_step, _norm, _pairing, balance_update,
+        return (_prox_step, _project_ball, _norm, _pairing, balance_update,
                 _adagrad_coefficient, 0.0, math.nan)
     S = len(x)
-    return (_lane_prox, _lane_norms, np.vecdot, _lane_balance,
+    return (_lane_prox, _lane_project, _lane_norms, np.vecdot, _lane_balance,
             partial(_lane_adagrad_coefficient, S=S), np.zeros(S),
             np.full(S, math.nan))
 
@@ -181,7 +183,7 @@ def run_ugm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     domain, metric, f_eval = obj.domain, obj.metric, obj.f_eval
     D = _diameter(obj, D)
     omega = D * D
-    x = _start_point(obj, x0, max_iters, trace_every)
+    x = _start_point(obj, oracle, x0, max_iters, trace_every)
     b, shape = metric.b_diag, x.shape
     H = 0.0
     f_x, g_x = f_eval(x)
@@ -220,7 +222,7 @@ def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     """
     oracle = _as_oracle(obj, oracle)
     D = _diameter(obj, D)
-    x = _start_point(obj, x0, max_iters, trace_every)
+    x = _start_point(obj, oracle, x0, max_iters, trace_every)
     return _run(obj.value, _stochastic_step(obj, oracle, D, x), x, max_iters,
                 callbacks, trace_every, True)
 
@@ -231,7 +233,7 @@ def _stochastic_step(obj, oracle, D, x, gamma_variant=None):
     next H differs, and it is fixed here, not chosen per iteration."""
     if gamma_variant not in (None, "grad_diff", "grad_norm"):
         raise ValueError(f"unknown gamma variant {gamma_variant!r}")
-    prox, norm, pairing, balance, adagrad_coefficient, H, nan = _kernels(x)
+    prox, _, norm, pairing, balance, adagrad_coefficient, H, nan = _kernels(x)
     domain, metric, draw = obj.domain, obj.metric, oracle.draw
     b, shape, omega = metric.b_diag, x.shape, D * D
     usgm = gamma_variant is None
@@ -287,7 +289,8 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
     domain, metric = obj.domain, obj.metric
     D = _diameter(obj, D)
     omega = D * D
-    x = _start_point(obj, x0, max_iters, trace_every)
+    x = _start_point(obj, oracle, x0, max_iters, trace_every)
+    prox, _, norm, pairing, balance, _, H, nan = _kernels(x)
     b, shape = metric.b_diag, x.shape
     v = x
     # with mat set, z = mat @ x and the gradient is mat.T @ w; with mat
@@ -305,7 +308,6 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
             f, g = f_eval(z)
             return f, _gradient(g, shape)
     zx = zv = x if mat is None else mat @ x
-    H = 0.0
     A_k = 0.0
 
     def step(k, traced):
@@ -316,20 +318,20 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
         zy = (zx_part + a * zv) / A_next
         f_y, w_y = at_point(zy)
         g_y = w_y if mat is None else mat_T @ w_y
-        v_next = _prox_step(a * g_y, v, H, domain, metric)
+        v_next = prox(a * g_y, v, H, domain, metric)
         zv_next = v_next if mat is None else mat @ v_next
         zx_next = (zx_part + a * zv_next) / A_next
         x_next = zx_next if mat is None else (A_k * x + a * v_next) / A_next
-        r = _norm(b, v_next - v)
+        r = norm(b, v_next - v)
         f_next, w_next = at_point(zx_next)
         if deterministic:
-            beta_hat = f_next - f_y - _pairing(w_y, zx_next - zy)
+            beta_hat = f_next - f_y - pairing(w_y, zx_next - zy)
         else:
-            beta_hat = _pairing(w_next - w_y, zx_next - zy)
-        H = balance_update(H, A_next * beta_hat, 0.5 * r * r, omega)
+            beta_hat = pairing(w_next - w_y, zx_next - zy)
+        H = balance(H, A_next * beta_hat, 0.5 * r * r, omega)
         x, v, zx, zv, A_k = x_next, v_next, zx_next, zv_next, A_next
         # a noisy oracle gives no f value: _run evaluates F(x)
-        F = (None if math.isnan(f_next) else f_next) if traced else math.nan
+        F = (None if math.isnan(f_next) else f_next) if traced else nan
         return x, F, H, r, beta_hat, math.nan, 2 * k
 
     return _run(obj.value, step, x, max_iters, callbacks, trace_every, False)
@@ -349,18 +351,19 @@ def run_projected_subgrad(obj, oracle=None, step_rule=("decaying", 1.0),
     check_step(c)
     oracle = _as_oracle(obj, oracle)
     domain, metric, draw = obj.domain, obj.metric, oracle.draw
-    x = _start_point(obj, x0, max_iters, trace_every)
+    x = _start_point(obj, oracle, x0, max_iters, trace_every)
+    _, project, norm, _, _, _, H_0, nan = _kernels(x)
     b, shape = metric.b_diag, x.shape
 
     def step(k, traced):
         nonlocal x
         g = _gradient(draw(x), shape)
         eta = c if kind == "constant" else c / math.sqrt(k)
-        x_next = _project_ball(x - eta * g / b, domain, metric)
-        r = _norm(b, x_next - x)
+        H = H_0 + (1.0 / eta if eta > 0 else math.inf)
+        x_next = project(x - eta * g / b, domain, metric)
+        r = norm(b, x_next - x)
         x = x_next
-        return (x, None, 1.0 / eta if eta > 0 else math.inf, r, math.nan,
-                math.nan, oracle.calls)
+        return x, None if traced else nan, H, r, nan, math.nan, oracle.calls
 
     return _run(obj.value, step, x, max_iters, callbacks, trace_every, True)
 
@@ -403,17 +406,17 @@ def run_adagrad_norm(obj, oracle=None, D=None, gamma_variant="grad_diff",
     """
     D = _diameter(obj, D)
     oracle = _as_oracle(obj, oracle)
-    x = _start_point(obj, x0, max_iters, trace_every)
+    x = _start_point(obj, oracle, x0, max_iters, trace_every)
     if gamma_variant is None:  # the step would take USGM's rule
         raise ValueError("unknown gamma variant None")
     step = _stochastic_step(obj, oracle, D, x, gamma_variant)
     return _run(obj.value, step, x, max_iters, callbacks, trace_every, True)
 
 
-# Lanes: S seeds of run_usgm or run_adagrad_norm in one pass over an S x n
-# state.  Each helper gives every lane the bits of the serial kernel at its
-# row; a lane that takes a rare branch (H = 0, a sum of squares below the
-# normal range, a failed check) goes through the serial kernel itself.
+# Lanes: S seeds of one method in one pass over an S x n state.  Each
+# helper gives every lane the bits of the serial kernel at its row; a lane
+# that takes a rare branch (H = 0, a sum of squares below the normal range,
+# a failed check) goes through the serial kernel itself.
 
 def _lane_norms(b, X, dual=False):
     """_norm (or _dual_norm) of each row of X."""
@@ -425,21 +428,27 @@ def _lane_norms(b, X, dual=False):
     return n
 
 
+def _lane_project(Y, domain, metric):
+    """_project_ball(Y[s]) for each lane s."""
+    d = Y - domain.center
+    r = _lane_norms(metric.b_diag, d)
+    r_max = np.maximum.reduce(r)
+    if r_max <= domain.radius:
+        return Y
+    if r_max < math.inf:  # nan fails it; project the lanes outside
+        out = r > domain.radius
+        scale = np.divide(domain.radius, r, out=np.ones_like(r), where=out)
+        return np.where(out[:, None], domain.center + scale[:, None] * d, Y)
+    # a non-finite distance: lane by lane, _project_ball raises its error
+    return np.array([_project_ball(y, domain, metric) for y in Y])
+
+
 def _lane_prox(C, X, H, domain, metric):
     """_prox_step(C[s], X[s], H[s]) for each lane s."""
     if np.minimum.reduce(H) > 0:
-        center, radius = domain.center, domain.radius
-        Y = X - C / (H[:, None] * metric.b_diag)
-        d = Y - center
-        r = _lane_norms(metric.b_diag, d)
-        r_max = np.maximum.reduce(r)
-        if r_max <= radius:
-            return Y
-        if r_max < math.inf:  # nan fails it; project the lanes outside
-            out = r > radius
-            scale = np.divide(radius, r, out=np.ones_like(r), where=out)
-            return np.where(out[:, None], center + scale[:, None] * d, Y)
-    # H = 0 or a non-finite distance: lane by lane, _prox_step raises its error
+        return _lane_project(X - C / (H[:, None] * metric.b_diag), domain,
+                             metric)
+    # some H = 0 (or nan): lane by lane, _prox_step raises its error
     return np.array([_prox_step(c, x, h, domain, metric)
                      for c, x, h in zip(C, X, H.tolist())])
 
@@ -473,49 +482,46 @@ def _lane_adagrad_coefficient(b, D, gamma_variant, S):
     return coefficient
 
 
-def _run_lanes(obj, oracles, max_iters, trace_every, D=None,
-               gamma_variant=None):
-    """run_usgm, or run_adagrad_norm if gamma_variant is set, once per
-    oracle, as the lanes of one pass; _run_seeds sends it 3 or more seeds.
+def _run_lanes(entry, obj, oracles, max_iters, trace_every, **kwargs):
+    """<entry>(obj, oracle, **kwargs, ...) once per oracle, as the lanes of
+    one pass: the entry, looked up here per call, runs on a lane view of the
+    oracles (see oracles._lane_view); _run_seeds sends it 3 or more seeds.
 
-    The oracles are built-in ones of one kind on obj (see
-    oracles._lane_view), exact ones too.  Each product with A is one gemv per lane and
-    each lane draws from its own oracle's generator, so lane s returns the
-    (x, trace) of the one-seed solve on oracles[s] bit for bit, apart from
-    wall_time_s, which is the pass's clock; a failed check raises the
-    one-seed error of the first lane that fails it.  The oracles' calls
-    advance as their draws would, and oracles[0].grads, if a list, receives
-    lane 0's gradients.  Returns one (x, trace) per oracle.
+    The oracles are unused built-in ones of one noisy kind on obj.  Each
+    product with A is one gemv per lane and each lane draws from its own
+    oracle's generator, so lane s returns the (x, trace) of the one-seed
+    solve on oracles[s] bit for bit, apart from wall_time_s, which is the
+    pass's clock; a failed check raises the one-seed error of the first
+    lane that fails it.  The oracles' calls advance as their draws would,
+    and oracles[0].grads, if a list, receives lane 0's gradients.  Returns
+    one (x, trace) per oracle.
     """
-    D = _diameter(obj, D)
-    S = len(oracles)
-    X = np.tile(_start_point(obj, None, max_iters, trace_every), (S, 1))
-    lanes = _lane_view(obj, oracles)
-    step = _stochastic_step(obj, lanes, D, X, gamma_variant)
-    X, records = _run(obj.value, step, X, max_iters, (), trace_every, True)
+    view = _lane_view(obj, oracles)
+    X, records = globals()[entry](obj, view, max_iters=max_iters,
+                                  trace_every=trace_every, **kwargs)
     k, F, H, r, beta, gap, calls, t = zip(*records) if records else [()] * 8
     # per lane, the columns F, H, r and beta
-    per_lane = np.reshape((F, H, r, beta), (4, max_iters, S)).transpose(
-        2, 0, 1).tolist()
+    per_lane = np.reshape((F, H, r, beta), (4, max_iters, len(oracles))
+                          ).transpose(2, 0, 1).tolist()
     out = []
     for oracle, x, (F, H, r, beta) in zip(oracles, X, per_lane):
         out.append((x, list(map(TraceRecord._make, zip(
-            k, F, H, r, beta, gap, [oracle.calls + c for c in calls], t)))))
-        oracle.calls += lanes.calls
+            k, F, H, r, beta, gap, calls, t)))))
+        oracle.calls += view.calls
     return out
 
 
 def _run_seeds(entry, obj, oracles, max_iters, trace_every, **kwargs):
     """The trace of <entry>(obj, oracle, **kwargs, ...) on each of the
     oracles, one per seed, of one spec: one solve that every seed shares if
-    they draw nothing, one _run_lanes pass for 3 or more seeds of USGM or
-    AdaGrad (at 2 it costs more than two solves), else seed by seed.  Both
-    are looked up here per call, so a wrapper patched onto them is used."""
+    they draw nothing, one _run_lanes pass for 3 or more seeds (at 2 it
+    costs more than two solves), else seed by seed.  The entry is looked up
+    per call, here or by _run_lanes, so a wrapper patched onto it is used."""
     solve = partial(globals()[entry], obj, max_iters=max_iters,
                     trace_every=trace_every, **kwargs)
     if oracles[0].is_exact:
         return [solve(oracle=oracles[0])[1]] * len(oracles)
-    if len(oracles) >= 3 and entry in ("run_usgm", "run_adagrad_norm"):
+    if len(oracles) >= 3:
         return [trace for _, trace in _run_lanes(
-            obj, oracles, max_iters, trace_every, **kwargs)]
+            entry, obj, oracles, max_iters, trace_every, **kwargs)]
     return [solve(oracle=oracle)[1] for oracle in oracles]

@@ -182,8 +182,9 @@ def test_write_csv_prints_each_row_by_its_format_and_nan_empty(tmp_path):
 
 
 @pytest.mark.parametrize("args, solves", [
-    (["run", "--solver", "sgd:0.1", "--oracle", "minibatch:4"], 3),
-    (["run", "--solver", "usfgm", "--oracle", "gaussian:0.5"], 3),
+    # three noisy seeds run as the lanes of one solve
+    (["run", "--solver", "sgd:0.1", "--oracle", "minibatch:4"], 1),
+    (["run", "--solver", "usfgm", "--oracle", "gaussian:0.5"], 1),
     # exact seeds share one solve
     (["sweep", "--solver", "ugm", "--diameters", "2,1"], 2),
     (["compare", "--solvers", "ugm,usfgm:deterministic,sgd:0.1"], 3),

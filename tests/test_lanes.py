@@ -1,18 +1,19 @@
 """Seeds as lanes: solvers._run_lanes against one-seed solves, bit for bit.
 
-_run_lanes runs run_usgm or run_adagrad_norm for several oracles at once,
+_run_lanes runs a method's own run_* entry for several oracles at once,
 over an S x n state.  Each lane's trace (every column but wall time), its
-average and its oracle's call count must equal the one-seed solve's, on the
-built-in objectives, oracles and balls, and through the rare branches: a
-lane still at H = 0, norms below the normal range, AdaGrad's rescaled sum
-and a failed check.  The CLI runs three or more noisy seeds of either as
-lanes (solvers._run_seeds), and must write what one-seed solves write;
-two seeds it runs one by one.
+point and its oracle's call count must equal the one-seed solve's, for
+USGM, both AdaGrad variants, stochastic USFGM and three SGD step rules, on
+the built-in objectives, noisy oracles and balls, and through the rare
+branches: a lane still at H = 0, norms below the normal range, AdaGrad's
+rescaled sum and a failed check.  Seeds that draw nothing are refused as
+lanes and share one solve.  The CLI runs three or more noisy seeds of any
+solver as lanes (solvers._run_seeds), and must write what one-seed solves
+write; two seeds it runs one by one.
 """
 
 import math
 import os
-from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from ugbench.cli import main
 from ugbench.metric import MetricSpace
 from ugbench.oracles import Oracle, OracleConfig
 from ugbench.problems import BallDomain, least_squares_f, logistic_f, p_power_f
-from ugbench.solvers import _run_lanes, run_adagrad_norm, run_usgm
+from ugbench.solvers import _run_lanes, _run_seeds
 
 ORACLES = {
     "exact": dict(kind="exact"),
@@ -36,9 +37,21 @@ ORACLES = {
     # with replacement like any other
     "full-batch": dict(kind="minibatch", batch_size=24),
 }
-# gamma_variant of _run_lanes; None is USGM
-METHODS = {"usgm": None, "adagrad-grad_diff": "grad_diff",
-           "adagrad-grad_norm": "grad_norm"}
+# each method's entry and keyword arguments
+METHODS = {
+    "usgm": ("run_usgm", {}),
+    "adagrad-grad_diff": ("run_adagrad_norm", dict(gamma_variant="grad_diff")),
+    "adagrad-grad_norm": ("run_adagrad_norm", dict(gamma_variant="grad_norm")),
+    "usfgm": ("run_usfgm", {}),
+    "sgd-decaying-1": ("run_projected_subgrad",
+                       dict(step_rule=("decaying", 1.0))),
+    "sgd-constant-0.1": ("run_projected_subgrad",
+                         dict(step_rule=("constant", 0.1))),
+    "sgd-constant-0": ("run_projected_subgrad",
+                       dict(step_rule=("constant", 0.0))),
+}
+REFUSED = ("^lanes need built-in oracles of one noisy kind on a built-in "
+           "objective$")
 
 
 def make_objective(problem, ball, scale=1.0, radius=0.8):
@@ -60,26 +73,41 @@ def make_objective(problem, ball, scale=1.0, radius=0.8):
     return p_power_f(A, b, 1.5, domain, metric)
 
 
-def bits(x, trace):
-    return x.tobytes(), [tuple(float(v).hex() for v in rec[:7]) for rec in trace]
+def columns(trace):
+    return [tuple(float(v).hex() for v in rec[:7]) for rec in trace]
 
 
-def assert_lanes_match(obj, cfgs, gamma_variant, max_iters, trace_every,
-                       D=None):
+def solve_one(obj, cfg, method, **kwargs):
+    """The one-seed solve of method on a new oracle of cfg, and the oracle."""
+    entry, method_kwargs = METHODS[method]
+    one = Oracle(obj, cfg)
+    return getattr(ugbench.solvers, entry)(obj, one, **kwargs,
+                                           **method_kwargs), one
+
+
+def assert_lanes_match(obj, cfgs, method, max_iters, trace_every):
+    """A lane pass of method on cfgs equals its one-seed solves; seeds that
+    draw nothing are refused as lanes, and _run_seeds gives each the trace
+    of their one shared solve."""
+    entry, kwargs = METHODS[method]
     oracles = [Oracle(obj, cfg) for cfg in cfgs]
-    lanes = _run_lanes(obj, oracles, max_iters, trace_every, D=D,
-                       gamma_variant=gamma_variant)
+    if cfgs[0].is_exact:
+        with pytest.raises(ValueError, match=REFUSED):
+            _run_lanes(entry, obj, oracles, max_iters, trace_every, **kwargs)
+        traces = _run_seeds(entry, obj, oracles, max_iters, trace_every,
+                            **kwargs)
+        (_, trace_one), _ = solve_one(obj, cfgs[-1], method,
+                                      max_iters=max_iters,
+                                      trace_every=trace_every)
+        assert [columns(t) for t in traces] == [columns(trace_one)] * len(cfgs)
+        return
+    lanes = _run_lanes(entry, obj, oracles, max_iters, trace_every, **kwargs)
     assert len(lanes) == len(cfgs)
     for cfg, oracle, (x, trace) in zip(cfgs, oracles, lanes):
-        one = Oracle(obj, cfg)
-        if gamma_variant is None:
-            x_one, trace_one = run_usgm(obj, one, D=D, max_iters=max_iters,
-                                        trace_every=trace_every)
-        else:
-            x_one, trace_one = run_adagrad_norm(
-                obj, one, D=D, gamma_variant=gamma_variant,
-                max_iters=max_iters, trace_every=trace_every)
-        assert bits(x, trace) == bits(x_one, trace_one)
+        (x_one, trace_one), one = solve_one(
+            obj, cfg, method, max_iters=max_iters, trace_every=trace_every)
+        assert x.tobytes() == x_one.tobytes()
+        assert columns(trace) == columns(trace_one)
         assert oracle.calls == one.calls
     return lanes
 
@@ -95,7 +123,7 @@ def test_lanes_match_one_seed_solves(problem, ball, oracle, method):
                 for seed in range(10, 10 + n_seeds)]
         for max_iters in (0, 1, 40):
             for trace_every in (1, 7):
-                assert_lanes_match(obj, cfgs, METHODS[method], max_iters,
+                assert_lanes_match(obj, cfgs, method, max_iters,
                                    trace_every)
 
 
@@ -108,7 +136,7 @@ def test_lanes_still_at_zero_H_take_the_vertex():
     b = np.where(np.arange(24) % 2 == 0, 0.0, A @ rng.standard_normal(6))
     obj = least_squares_f(A, b)
     cfgs = [OracleConfig(kind="minibatch", seed=seed) for seed in range(8)]
-    lanes = assert_lanes_match(obj, cfgs, None, 30, 1)
+    lanes = assert_lanes_match(obj, cfgs, "usgm", 30, 1)
     first_H = [trace[0].H for _, trace in lanes]
     assert 0.0 in first_H and max(first_H) > 0.0
 
@@ -124,29 +152,25 @@ def test_lanes_below_the_normal_range(method, oracle):
         cfg["sigma"] = 1e-160
     cfgs = [OracleConfig(seed=seed, **cfg) for seed in range(3)]
     tiny_gradients = make_objective("least-squares", "off-centre", scale=1e-80)
-    assert_lanes_match(tiny_gradients, cfgs, METHODS[method], 40, 7)
+    assert_lanes_match(tiny_gradients, cfgs, method, 40, 7)
     tiny_ball = make_objective("least-squares", "off-centre", radius=1e-155)
-    assert_lanes_match(tiny_ball, cfgs, METHODS[method], 40, 7)
+    assert_lanes_match(tiny_ball, cfgs, method, 40, 7)
 
 
 def test_lanes_hand_lane_0_gradients():
     """A lane pass records lane 0's draws in oracles[0].grads, as the
     one-seed solve records its own."""
     obj = make_objective("least-squares", "off-centre")
-    for oracle in ("exact", "gaussian-1", "minibatch-8"):
+    for oracle in ("gaussian-1", "minibatch-8"):
         cfgs = [OracleConfig(seed=s, **ORACLES[oracle]) for s in (4, 5)]
-        for gamma_variant in METHODS.values():
+        for entry, kwargs in METHODS.values():
             oracles = [Oracle(obj, cfg) for cfg in cfgs]
             one = Oracle(obj, cfgs[0])
             oracles[0].grads, one.grads = [], []
-            _run_lanes(obj, oracles, 20, 1, gamma_variant=gamma_variant)
-            if gamma_variant is None:
-                run_usgm(obj, one, max_iters=20)
-            else:
-                run_adagrad_norm(obj, one, max_iters=20,
-                                 gamma_variant=gamma_variant)
+            _run_lanes(entry, obj, oracles, 20, 1, **kwargs)
+            getattr(ugbench.solvers, entry)(obj, one, max_iters=20, **kwargs)
             assert oracles[1].grads is None
-            assert len(oracles[0].grads) == len(one.grads) == 21
+            assert len(oracles[0].grads) == len(one.grads) >= 20
             assert all(a.tobytes() == b.tobytes()
                        for a, b in zip(oracles[0].grads, one.grads))
 
@@ -156,7 +180,8 @@ def test_lanes_share_the_pass_clock(method):
     obj = make_objective("least-squares", "default")
     oracles = [Oracle(obj, OracleConfig(kind="gaussian", sigma=1.0, seed=s))
                for s in range(3)]
-    lanes = _run_lanes(obj, oracles, 50, 7, gamma_variant=METHODS[method])
+    entry, kwargs = METHODS[method]
+    lanes = _run_lanes(entry, obj, oracles, 50, 7, **kwargs)
     times = [[rec.wall_time_s for rec in trace] for _, trace in lanes]
     assert len(times[0]) == 50
     assert times[0] == times[1] == times[2]
@@ -171,7 +196,9 @@ def test_lanes_reject_mixed_oracles():
     for oracles in [
             [gaussian, Oracle(obj, OracleConfig(kind="gaussian", sigma=2.0))],
             [gaussian, Oracle(obj, OracleConfig(kind="minibatch", seed=2))],
-            # two kinds that both draw exact gradients
+            # oracles that draw nothing share one solve instead
+            [Oracle(obj, OracleConfig(seed=s)) for s in (1, 2)],
+            [Oracle(obj, OracleConfig(kind="gaussian", seed=s)) for s in (1, 2)],
             [Oracle(obj), Oracle(obj, OracleConfig(kind="gaussian"))],
             # one or every oracle built on another objective
             [gaussian, Oracle(other, cfgs[1])],
@@ -179,10 +206,8 @@ def test_lanes_reject_mixed_oracles():
             # a user oracle, here one that wraps a matching built-in one
             [gaussian, RecordingOracle(Oracle(obj, cfgs[1]))],
             [RecordingOracle(Oracle(obj, cfgs[1])), gaussian]]:
-        with pytest.raises(ValueError, match=(
-                "^lanes need built-in oracles of one kind on a built-in "
-                "objective$")):
-            _run_lanes(obj, oracles, 5, 1)
+        with pytest.raises(ValueError, match=REFUSED):
+            _run_lanes("run_usgm", obj, oracles, 5, 1)
 
 
 class NanDraw:
@@ -203,7 +228,7 @@ class NanDraw:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("solver", ["usgm", "adagrad"])
+@pytest.mark.parametrize("solver", ["usgm", "adagrad", "usfgm", "sgd:0.1"])
 def test_nan_gradient_in_one_lane_stops_as_one_seed_does(tmp_path, capsys,
                                                          monkeypatch, solver):
     make_rng = ugbench.oracles.make_rng
@@ -220,25 +245,25 @@ def test_nan_gradient_in_one_lane_stops_as_one_seed_does(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("method", METHODS)
+# at step 0, SGD's 0 * inf is an invalid value, which the suite makes an error
+@pytest.mark.parametrize("method", [m for m in METHODS if m != "sgd-constant-0"])
 def test_non_finite_first_gradient_stops_lanes_as_one_seed(monkeypatch,
                                                            method, bad):
-    # lane 1's first gradient is not finite, and every lane is at H = 0
+    # lane 1's first gradient is not finite; every lane is at H = 0, whose
+    # prox step needs a finite direction, or SGD's projection a finite point
     make_rng = ugbench.oracles.make_rng
     monkeypatch.setattr(ugbench.oracles, "make_rng", lambda seed: (
         NanDraw(make_rng(seed), 1, bad) if seed == 1 else make_rng(seed)))
     obj = make_objective("least-squares", "default")
     cfgs = [OracleConfig(kind="gaussian", sigma=1.0, seed=s) for s in range(3)]
-    variant = METHODS[method]
-    with pytest.raises(ValueError, match="direction of finite dual norm") as one:
-        if variant is None:
-            run_usgm(obj, Oracle(obj, cfgs[1]), max_iters=10)
-        else:
-            run_adagrad_norm(obj, Oracle(obj, cfgs[1]), gamma_variant=variant,
-                             max_iters=10)
+    entry, kwargs = METHODS[method]
+    expected = ("non-finite distance" if method.startswith("sgd")
+                else "direction of finite dual norm")
+    with pytest.raises(ValueError, match=expected) as one:
+        solve_one(obj, cfgs[1], method, max_iters=10)
     with pytest.raises(ValueError) as lanes:
-        _run_lanes(obj, [Oracle(obj, cfg) for cfg in cfgs], 10, 1,
-                   gamma_variant=variant)
+        _run_lanes(entry, obj, [Oracle(obj, cfg) for cfg in cfgs], 10, 1,
+                   **kwargs)
     assert str(lanes.value) == str(one.value)
 
 
@@ -255,11 +280,12 @@ def test_infinite_draw_stops_adagrad_lanes_as_one_seed(monkeypatch, variant):
     cfgs = [OracleConfig(kind="gaussian", sigma=1.0, seed=s) for s in range(3)]
     with (pytest.warns(RuntimeWarning, match="invalid value"),
           pytest.raises(ValueError, match="non-finite distance nan") as one):
-        run_adagrad_norm(obj, Oracle(obj, cfgs[1]), gamma_variant=variant,
-                         max_iters=10)
+        ugbench.solvers.run_adagrad_norm(obj, Oracle(obj, cfgs[1]),
+                                         gamma_variant=variant, max_iters=10)
     with (pytest.warns(RuntimeWarning, match="invalid value"),
           pytest.raises(ValueError) as lanes):
-        _run_lanes(obj, [Oracle(obj, cfg) for cfg in cfgs], 10, 1,
+        _run_lanes("run_adagrad_norm", obj,
+                   [Oracle(obj, cfg) for cfg in cfgs], 10, 1,
                    gamma_variant=variant)
     assert str(lanes.value) == str(one.value)
 
@@ -284,6 +310,10 @@ def read_outputs(out):
      "--diameters", "4,2,1"],
     ["compare", "--solvers", "usgm,adagrad,sgd:0.1", "--oracle",
      "gaussian:0.5"],
+    ["run", "--solver", "usfgm", "--oracle", "gaussian:1.0"],
+    ["run", "--solver", "sgd:0.1", "--oracle", "minibatch:4"],
+    ["sweep", "--solver", "sgd", "--oracle", "gaussian:0.5", "--steps",
+     "1,0.1,0"],
 ])
 def test_cli_lanes_write_what_the_per_seed_path_writes(tmp_path, monkeypatch,
                                                        args):
@@ -291,11 +321,10 @@ def test_cli_lanes_write_what_the_per_seed_path_writes(tmp_path, monkeypatch,
               "--trace-every", "3", "--seeds", "0,1,2"]
     assert main([*common, "--out", str(tmp_path / "lanes")]) == 0
 
-    def per_seed(obj, oracles, max_iters, trace_every, D, gamma_variant=None):
-        solve = run_usgm if gamma_variant is None else partial(
-            run_adagrad_norm, gamma_variant=gamma_variant)
-        return [solve(obj, oracle, D=D, max_iters=max_iters,
-                      trace_every=trace_every)
+    def per_seed(entry, obj, oracles, max_iters, trace_every, **kwargs):
+        solve = getattr(ugbench.solvers, entry)
+        return [solve(obj, oracle, max_iters=max_iters,
+                      trace_every=trace_every, **kwargs)
                 for oracle in oracles]
     monkeypatch.setattr(ugbench.solvers, "_run_lanes", per_seed)
     assert main([*common, "--out", str(tmp_path / "per-seed")]) == 0
@@ -304,7 +333,9 @@ def test_cli_lanes_write_what_the_per_seed_path_writes(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("solver, oracle", [("usgm", "gaussian:1.0"),
-                                            ("adagrad", "minibatch:4")])
+                                            ("adagrad", "minibatch:4"),
+                                            ("usfgm", "gaussian:1.0"),
+                                            ("sgd:0.1", "minibatch:4")])
 def test_two_seeds_run_one_by_one(tmp_path, monkeypatch, solver, oracle):
     # at two seeds a lane pass costs more than two solves
     def forbidden(*args, **kwargs):
@@ -323,7 +354,8 @@ def test_two_seeds_run_one_by_one(tmp_path, monkeypatch, solver, oracle):
     two = outputs["run", "0,1"]
     for seed in (0, 1):
         one = outputs["run", str(seed)]
-        trace = f"trace_{solver}_{seed}.csv"
+        tag = solver.replace(":", "-").replace(".", "p")
+        trace = f"trace_{tag}_{seed}.csv"
         assert two[trace] == one[trace]
         assert two["summary.csv"][1 + seed] == one["summary.csv"][1]
     # each F column is the mean of the one-seed columns; the domination
@@ -337,3 +369,21 @@ def test_two_seeds_run_one_by_one(tmp_path, monkeypatch, solver, oracle):
         assert row[1:3] == [
             "" if x == "" else f"{np.mean([float(x), float(y)]):.17g}"
             for x, y in zip(a[1:3], b[1:3])]
+
+
+@pytest.mark.parametrize("solver, entry", [("usfgm", "run_usfgm"),
+                                           ("sgd:0.1", "run_projected_subgrad")])
+def test_three_noisy_seeds_make_one_entry_call(tmp_path, monkeypatch, solver,
+                                               entry):
+    # a lane pass is the entry's own solve on a lane view of the oracles
+    views = []
+
+    def counting(obj, oracle, *args, solve=getattr(ugbench.solvers, entry),
+                 **kwargs):
+        views.append(oracle)
+        return solve(obj, oracle, *args, **kwargs)
+    monkeypatch.setattr(ugbench.solvers, entry, counting)
+    assert main(["run", "--solver", solver, "--oracle", "gaussian:1.0",
+                 "--data", "synthetic:20:8:0", "--iters", "30",
+                 "--seeds", "0,1,2", "--out", str(tmp_path)]) == 0
+    assert [view.lanes for view in views] == [3]

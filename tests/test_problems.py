@@ -258,6 +258,36 @@ class TestLogistic:
         with pytest.raises(DataShapeError):
             logistic_f(np.eye(2), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("m", [12, 100, 2000])
+    def test_weights_have_the_two_branch_bits(self, m):
+        # the weights divide one numerator, 1 or exp(-|z|), by 1 + exp(-|z|);
+        # each must have the bits of the form that divides on each side
+        def two_branch(z):
+            e = np.exp(-np.abs(z))
+            return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+        rng = np.random.Generator(np.random.Philox(m))
+        A = rng.standard_normal((m, 4))
+        labels = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        obj = logistic_f(A, labels)
+        special = [0.0, -0.0, 1e-320, -1e-320, 40.0, -40.0, 800.0, -800.0,
+                   math.inf, -math.inf]
+        Z = 20.0 * rng.standard_normal((8, m))
+        Z[0, :len(special)] = special
+        for z in (Z[0], Z[1], Z):
+            w = -labels * two_branch(-(labels * z))
+            assert obj.loss(z)[1].tobytes() == w.tobytes()
+        X = 5.0 * rng.standard_normal((8, 4))
+        IDX = rng.integers(0, m, (8, 6))
+        for x, idx in [(X[0], IDX[0]), (X, IDX)]:
+            rows = A[idx]
+            signs = labels[idx]
+            z = (rows @ x if x.ndim == 1
+                 else np.matmul(rows, x[..., None])[..., 0])
+            weights = m * (-signs * two_branch(-(signs * z)))
+            assert (obj.row_grad(x, idx).tobytes()
+                    == (weights[..., None] * rows).tobytes())
+
 
 class TestPPower:
     def test_p2_matches_scaled_least_squares(self):
@@ -338,7 +368,7 @@ def test_loss_of_A_x_gives_f_eval(make_obj):
 
 
 def test_lanes_need_a_built_in_objective():
-    # the _lanes flag decides, not A and loss: a user objective made of a
+    # _loss_value decides, not A and loss: a user objective made of a
     # built-in's callables, which take lanes, is refused
     obj = least_squares_f(np.eye(3), np.ones(3))
     user = CompositeObjective(
@@ -347,7 +377,7 @@ def test_lanes_need_a_built_in_objective():
     oracles = [Oracle(user, OracleConfig(kind="gaussian", sigma=1.0, seed=s))
                for s in (0, 1)]
     with pytest.raises(ValueError, match="on a built-in objective"):
-        _run_lanes(user, oracles, 5, 1)
+        _run_lanes("run_usgm", user, oracles, 5, 1)
 
 
 @pytest.mark.parametrize("build", [

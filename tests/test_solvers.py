@@ -554,7 +554,8 @@ def test_bad_iteration_counts_rejected_before_any_evaluation(
         if name == "lanes":
             oracles = [Oracle(ls_instance, OracleConfig(
                 kind="gaussian", sigma=1.0, seed=seed)) for seed in (0, 1)]
-            _run_lanes(ls_instance, oracles, max_iters, trace_every)
+            _run_lanes("run_usgm", ls_instance, oracles, max_iters,
+                       trace_every)
         else:
             oracle = None if name == "ugm" else OracleConfig(
                 kind="gaussian", sigma=1.0)

@@ -8,9 +8,10 @@ directory and the SHA-256 of each file there, with the CSV columns named
 oracles exact, gaussian:1.0 and minibatch:1/4/64 x --trace-every 1 and 7,
 with --seeds 0,1,2 and 1500 iterations: a run of every solver, two sweeps
 and a compare per cell, plus a few invocations that fail, a run of no
-iterations, three of two noisy seeds, six on ppower:1 and ppower:2 and two
-on logistic with --radius 100.  An invocation is keyed by its
-argv and the entries made in its directory before the call.
+iterations, three of two noisy seeds, two of eight noisy seeds, six on
+ppower:1 and ppower:2 and two on logistic with --radius 100.  An
+invocation is keyed by its argv and the entries made in its directory
+before the call.
 
     python tools/bitgrid.py [--src DIR] [--manifest PATH]
     python tools/bitgrid.py --against REV
@@ -86,6 +87,11 @@ def grid():
     yield ["run", "--solver", "adagrad", "--oracle", "minibatch:4", *two], []
     yield ["compare", "--solvers", "usgm,adagrad", "--oracle", "gaussian:1.0",
            *two], []
+    # eight noisy seeds of usfgm and sgd, which run as lanes
+    eight = ["--data", DATA, "--iters", "300", "--seeds", "0,1,2,3,4,5,6,7",
+             "--out", "out"]
+    yield ["run", "--solver", "usfgm", "--oracle", "gaussian:1.0", *eight], []
+    yield ["sweep", "--solver", "sgd", "--oracle", "minibatch:4", *eight], []
     yield ["sweep", *TINY, "--diameters", "5,5", "--out", "out"], []
     # F at every iteration, as the monitor computes it, at p-power's ends
     # and on logistic margins that reach logaddexp's saturated range
