@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -198,18 +197,6 @@ def make_oracle_config(spec, seed):
     raise ConfigError(f"bad oracle {spec!r}; expected {ORACLE_GRAMMAR}")
 
 
-class Solve(NamedTuple):
-    """A parsed solver spec: solvers.<entry>(obj, **kwargs, ...), whose
-    seeds solvers._run_seeds solves."""
-    entry: str
-    kwargs: dict
-
-    @property
-    def needs_exact_oracle(self):
-        return (self.entry == "run_ugm"
-                or self.kwargs.get("surrogate_mode") == "deterministic_bregman")
-
-
 SOLVER_GRAMMAR = ("ugm, usgm, usfgm[:deterministic], adagrad[:grad_diff|grad_norm]"
                   " or sgd[:STEP[:constant|decaying]] with finite STEP >= 0")
 
@@ -223,23 +210,27 @@ def _sgd_step(value):
 
 
 def parse_solver(spec, D):
-    """The one reader of solver specs: spec -> Solve with diameter D.
-    Anything outside SOLVER_GRAMMAR raises ConfigError."""
+    """The one reader of solver specs: spec -> the solve, a solvers.run_*
+    with the spec's arguments (diameter D among them) bound, which
+    solvers._run_seeds calls per seed.  The run_* is read from solvers
+    here, when the spec is parsed, so a wrapper patched onto it before
+    main is the one that solves.  Anything outside SOLVER_GRAMMAR raises
+    ConfigError."""
     D = solvers.check_diameter(D)
     name, *args = spec.split(":")
     if name in ("ugm", "usgm") and not args:
-        return Solve("run_" + name, {"D": D})
+        return partial(solvers.run_ugm if name == "ugm" else solvers.run_usgm, D=D)
     if name == "usfgm" and args in ([], ["deterministic"]):
         mode = "deterministic_bregman" if args else "stochastic_symmetrized"
-        return Solve("run_usfgm", {"D": D, "surrogate_mode": mode})
+        return partial(solvers.run_usfgm, D=D, surrogate_mode=mode)
     if name == "adagrad" and args in ([], ["grad_diff"], ["grad_norm"]):
-        return Solve("run_adagrad_norm",
-                     {"D": D, "gamma_variant": (args or ["grad_diff"])[0]})
+        return partial(solvers.run_adagrad_norm, D=D,
+                       gamma_variant=(args or ["grad_diff"])[0])
     if name == "sgd" and len(args) <= 2:
         step = _sgd_step(args[0]) if args else 1.0
         rule = args[1] if len(args) == 2 else "decaying"
         if rule in ("constant", "decaying"):
-            return Solve("run_projected_subgrad", {"step_rule": (rule, step)})
+            return partial(solvers.run_projected_subgrad, step_rule=(rule, step))
     raise ConfigError(f"bad solver {spec!r}; expected {SOLVER_GRAMMAR}")
 
 
@@ -298,28 +289,28 @@ def _solver_tag(spec):
     return spec.replace(":", "-").replace(".", "p")
 
 
-def _prepare(cfg, solves):
-    """The front of every command, given its (spec, solve) pairs: check the
-    problem spec, each seed's oracle spec, each solve's need of an exact
-    oracle and --out before any data is read, then load the data; returns
-    the problem and, per solve, one oracle per seed."""
+def _prepare(cfg, specs):
+    """The front of every command, given one solver spec per solve (each
+    parsed by parse_solver): check the problem spec, each seed's oracle
+    spec, each solver's need of an exact oracle and --out before any data
+    is read, then load the data; returns the problem and, per spec, one
+    oracle per seed."""
     parse_problem(cfg.problem)
     configs = [make_oracle_config(cfg.oracle, seed) for seed in cfg.seeds]
-    for spec, solve in solves:
-        if solve.needs_exact_oracle and not configs[0].is_exact:
+    for spec in specs:
+        if spec in ("ugm", "usfgm:deterministic") and not configs[0].is_exact:
             raise ConfigError(
                 f"solver {spec!r} needs an exact oracle, got {cfg.oracle!r}")
     _missing(cfg.out)
     obj = make_problem(cfg, load_dataset(cfg))
-    return obj, [[Oracle(obj, config) for config in configs] for _ in solves]
+    return obj, [[Oracle(obj, config) for config in configs] for _ in specs]
 
 
 def cmd_run(cfg):
     solve = parse_solver(cfg.solver, cfg.D)
-    obj, [oracles] = _prepare(cfg, [(cfg.solver, solve)])
+    obj, [oracles] = _prepare(cfg, [cfg.solver])
     outputs, summary, tag = [], [], _solver_tag(cfg.solver)
-    traces = solvers._run_seeds(solve.entry, obj, oracles, cfg.max_iters,
-                                cfg.trace_every, **solve.kwargs)
+    traces = solvers._run_seeds(solve, obj, oracles, cfg.max_iters, cfg.trace_every)
     for seed, trace in zip(cfg.seeds, traces):
         outputs.append((f"trace_{tag}_{seed}.csv", partial(write_trace, trace=trace)))
         last = trace[-1] if trace else None
@@ -336,21 +327,20 @@ def cmd_sweep(cfg):
         raise ConfigError("sweep grid must be nonempty")
     # sgd sweeps its step size under its own rule; the others sweep D
     solve = parse_solver(cfg.solver, cfg.D)
-    if "step_rule" in solve.kwargs:
-        rule = solve.kwargs["step_rule"][0]
-        grid = [("step", s, solve._replace(
-            kwargs={"step_rule": (rule, _sgd_step(s))})) for s in cfg.steps]
+    if "step_rule" in solve.keywords:
+        rule = solve.keywords["step_rule"][0]
+        grid = [("step", s, partial(solve, step_rule=(rule, _sgd_step(s))))
+                for s in cfg.steps]
     else:
         grid = [("D", d, parse_solver(cfg.solver, d)) for d in cfg.diameters]
     values = tuple(value for _, value, _ in grid)
     if len(set(values)) < len(values):  # one point solved twice, in two rows
         raise ConfigError(f"sweep grid must be distinct, got {values}")
-    obj, oracles = _prepare(cfg, [(cfg.solver, solve) for _, _, solve in grid])
+    obj, oracles = _prepare(cfg, [cfg.solver] * len(grid))
     rows = [(param, value, float(np.mean([
                 trace[-1].F_value if trace else math.nan
                 for trace in solvers._run_seeds(
-                    solve.entry, obj, seed_oracles, cfg.max_iters,
-                    cfg.trace_every, **solve.kwargs)])))
+                    solve, obj, seed_oracles, cfg.max_iters, cfg.trace_every)])))
             for (param, value, solve), seed_oracles in zip(grid, oracles)]
     # ties break toward the smaller parameter value, then the earlier row;
     # a nan mean (--iters 0) ranks after every number
@@ -383,15 +373,15 @@ def cmd_compare(cfg):
     if len(set(specs)) < len(specs):
         raise ConfigError(
             f"compare needs distinct solvers, got {','.join(specs)}")
-    obj, oracles = _prepare(cfg, list(zip(specs, solves)))
-    usgm, domination, recorded = parse_solver("usgm", cfg.D), None, None
-    if usgm in solves and parse_solver("adagrad", cfg.D) in solves:
+    obj, oracles = _prepare(cfg, specs)
+    domination, recorded = None, None
+    if "usgm" in specs and {"adagrad", "adagrad:grad_diff"} & set(specs):
         # AdaGrad's coefficient on the gradients USGM draws on the first seed
-        recorded = solves.index(usgm)
+        recorded = specs.index("usgm")
         domination = oracles[recorded][0].grads = _Domination(
             solvers._adagrad_coefficient(obj.metric.b_diag, cfg.D, "grad_diff"))
-    traces = [solvers._run_seeds(solve.entry, obj, seed_oracles, cfg.max_iters,
-                                 cfg.trace_every, **solve.kwargs)
+    traces = [solvers._run_seeds(solve, obj, seed_oracles, cfg.max_iters,
+                                 cfg.trace_every)
               for solve, seed_oracles in zip(solves, oracles)]
     columns = []
     for per_seed in traces:

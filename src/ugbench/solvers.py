@@ -231,8 +231,6 @@ def _stochastic_step(obj, oracle, D, x, gamma_variant=None):
     """run_usgm's step from x, or run_adagrad_norm's if gamma_variant is
     set, over one vector or S lanes (see _kernels).  Only the rule for the
     next H differs, and it is fixed here, not chosen per iteration."""
-    if gamma_variant not in (None, "grad_diff", "grad_norm"):
-        raise ValueError(f"unknown gamma variant {gamma_variant!r}")
     prox, _, norm, pairing, balance, adagrad_coefficient, H, nan = _kernels(x)
     domain, metric, draw = obj.domain, obj.metric, oracle.draw
     b, shape, omega = metric.b_diag, x.shape, D * D
@@ -407,8 +405,8 @@ def run_adagrad_norm(obj, oracle=None, D=None, gamma_variant="grad_diff",
     D = _diameter(obj, D)
     oracle = _as_oracle(obj, oracle)
     x = _start_point(obj, oracle, x0, max_iters, trace_every)
-    if gamma_variant is None:  # the step would take USGM's rule
-        raise ValueError("unknown gamma variant None")
+    if gamma_variant not in ("grad_diff", "grad_norm"):
+        raise ValueError(f"unknown gamma variant {gamma_variant!r}")
     step = _stochastic_step(obj, oracle, D, x, gamma_variant)
     return _run(obj.value, step, x, max_iters, callbacks, trace_every, True)
 
@@ -482,9 +480,9 @@ def _lane_adagrad_coefficient(b, D, gamma_variant, S):
     return coefficient
 
 
-def _run_lanes(entry, obj, oracles, max_iters, trace_every, **kwargs):
-    """<entry>(obj, oracle, **kwargs, ...) once per oracle, as the lanes of
-    one pass: the entry, looked up here per call, runs on a lane view of the
+def _run_lanes(solve, obj, oracles, max_iters, trace_every):
+    """solve(obj, oracle, ...), a run_* with its arguments bound, once per
+    oracle, as the lanes of one pass: solve runs on a lane view of the
     oracles (see oracles._lane_view); _run_seeds sends it 3 or more seeds.
 
     The oracles are unused built-in ones of one noisy kind on obj.  Each
@@ -497,8 +495,7 @@ def _run_lanes(entry, obj, oracles, max_iters, trace_every, **kwargs):
     one (x, trace) per oracle.
     """
     view = _lane_view(obj, oracles)
-    X, records = globals()[entry](obj, view, max_iters=max_iters,
-                                  trace_every=trace_every, **kwargs)
+    X, records = solve(obj, view, max_iters=max_iters, trace_every=trace_every)
     k, F, H, r, beta, gap, calls, t = zip(*records) if records else [()] * 8
     # per lane, the columns F, H, r and beta
     per_lane = np.reshape((F, H, r, beta), (4, max_iters, len(oracles))
@@ -511,17 +508,17 @@ def _run_lanes(entry, obj, oracles, max_iters, trace_every, **kwargs):
     return out
 
 
-def _run_seeds(entry, obj, oracles, max_iters, trace_every, **kwargs):
-    """The trace of <entry>(obj, oracle, **kwargs, ...) on each of the
-    oracles, one per seed, of one spec: one solve that every seed shares if
-    they draw nothing, one _run_lanes pass for 3 or more seeds (at 2 it
-    costs more than two solves), else seed by seed.  The entry is looked up
-    per call, here or by _run_lanes, so a wrapper patched onto it is used."""
-    solve = partial(globals()[entry], obj, max_iters=max_iters,
-                    trace_every=trace_every, **kwargs)
+def _run_seeds(solve, obj, oracles, max_iters, trace_every):
+    """The trace of solve(obj, oracle, ...), a run_* with its arguments
+    bound, on each of the oracles, one per seed, of one spec: one solve
+    that every seed shares if they draw nothing, one _run_lanes pass for 3
+    or more seeds (at 2 it costs more than two solves), else seed by seed.
+    The CLI reads the run_* when it parses the spec, so a wrapper patched
+    onto it before then is the one called, here and by _run_lanes."""
+    run = partial(solve, obj, max_iters=max_iters, trace_every=trace_every)
     if oracles[0].is_exact:
-        return [solve(oracle=oracles[0])[1]] * len(oracles)
+        return [run(oracle=oracles[0])[1]] * len(oracles)
     if len(oracles) >= 3:
         return [trace for _, trace in _run_lanes(
-            entry, obj, oracles, max_iters, trace_every, **kwargs)]
-    return [solve(oracle=oracle)[1] for oracle in oracles]
+            solve, obj, oracles, max_iters, trace_every)]
+    return [run(oracle=oracle)[1] for oracle in oracles]

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ugbench.cli
 import ugbench.solvers
 from ugbench.cli import (
     DEFAULT_STEP_GRID,
@@ -519,6 +520,28 @@ class TestBadInputs:
         if not out:
             assert (tmp_path / name).is_dir()
 
+    def test_interrupted_write_leaves_no_file_it_created(self, tmp_path,
+                                                        monkeypatch):
+        # an exception that is no OSError, here an interrupt as summary.csv
+        # is written after the three traces, leaves main unchanged; the
+        # call's files are removed and the overwritten one has its old bytes
+        (tmp_path / "trace_ugm_2.csv").write_text("old\n")
+        interrupt, write_csv = KeyboardInterrupt(), ugbench.cli._write_csv
+
+        def interrupted(header, row, rows, path):
+            if os.path.basename(path) == "summary.csv":
+                assert sorted(os.listdir(tmp_path)) == [
+                    f"trace_ugm_{seed}.csv" for seed in range(3)]
+                raise interrupt
+            write_csv(header, row, rows, path)
+        monkeypatch.setattr(ugbench.cli, "_write_csv", interrupted)
+        with pytest.raises(KeyboardInterrupt) as raised:
+            main(["run", "--data", "synthetic:5:2", "--iters", "3",
+                  "--seeds", "0,1,2", "--out", str(tmp_path)])
+        assert raised.value is interrupt
+        assert os.listdir(tmp_path) == ["trace_ugm_2.csv"]
+        assert (tmp_path / "trace_ugm_2.csv").read_text() == "old\n"
+
     def test_output_whose_write_could_not_open_it_is_not_written_back(
             self, tmp_path, monkeypatch):
         # a file that the failing write left alone (a read-only one, say) is
@@ -943,3 +966,25 @@ class TestCompare:
         assert rows[0][-1] == "adagrad_domination"
         doms = [float(r[-1]) for r in rows[1:] if r[-1]]
         assert doms and all(d >= -1e-9 for d in doms)
+
+    @pytest.mark.parametrize("solvers, oracle, present", [
+        ("usgm,adagrad", "gaussian:1.0", True),
+        ("usgm,adagrad,adagrad:grad_diff", "gaussian:1.0", True),
+        ("adagrad:grad_diff,sgd:0.1,usgm", "gaussian:1.0", True),
+        ("usgm,adagrad:grad_norm", "gaussian:1.0", False),
+        ("ugm,adagrad", "exact", False)])
+    def test_adagrad_domination_needs_usgm_and_grad_diff_adagrad(
+            self, tmp_path, solvers, oracle, present):
+        # the column is there when USGM and grad_diff AdaGrad are compared,
+        # in any order or spelling, and then holds usgm,adagrad's bytes
+        common = ["compare", "--oracle", oracle, *SMALL, "--seeds", "0,1,2"]
+        assert main([*common, "--solvers", solvers,
+                     "--out", str(tmp_path / "a")]) == 0
+        rows = read_csv(tmp_path / "a" / "compare.csv")
+        assert len(rows[0]) == 2 + solvers.count(",") + present
+        assert (rows[0][-1] == "adagrad_domination") == present
+        if present:
+            assert main([*common, "--solvers", "usgm,adagrad",
+                         "--out", str(tmp_path / "b")]) == 0
+            reference = read_csv(tmp_path / "b" / "compare.csv")
+            assert [row[-1] for row in rows] == [row[-1] for row in reference]

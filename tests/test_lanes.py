@@ -14,6 +14,7 @@ write; two seeds it runs one by one.
 
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -77,31 +78,34 @@ def columns(trace):
     return [tuple(float(v).hex() for v in rec[:7]) for rec in trace]
 
 
+def solve_of(method):
+    """method's run_* entry with its keyword arguments bound."""
+    entry, kwargs = METHODS[method]
+    return partial(getattr(ugbench.solvers, entry), **kwargs)
+
+
 def solve_one(obj, cfg, method, **kwargs):
     """The one-seed solve of method on a new oracle of cfg, and the oracle."""
-    entry, method_kwargs = METHODS[method]
     one = Oracle(obj, cfg)
-    return getattr(ugbench.solvers, entry)(obj, one, **kwargs,
-                                           **method_kwargs), one
+    return solve_of(method)(obj, one, **kwargs), one
 
 
 def assert_lanes_match(obj, cfgs, method, max_iters, trace_every):
     """A lane pass of method on cfgs equals its one-seed solves; seeds that
     draw nothing are refused as lanes, and _run_seeds gives each the trace
     of their one shared solve."""
-    entry, kwargs = METHODS[method]
+    solve = solve_of(method)
     oracles = [Oracle(obj, cfg) for cfg in cfgs]
     if cfgs[0].is_exact:
         with pytest.raises(ValueError, match=REFUSED):
-            _run_lanes(entry, obj, oracles, max_iters, trace_every, **kwargs)
-        traces = _run_seeds(entry, obj, oracles, max_iters, trace_every,
-                            **kwargs)
+            _run_lanes(solve, obj, oracles, max_iters, trace_every)
+        traces = _run_seeds(solve, obj, oracles, max_iters, trace_every)
         (_, trace_one), _ = solve_one(obj, cfgs[-1], method,
                                       max_iters=max_iters,
                                       trace_every=trace_every)
         assert [columns(t) for t in traces] == [columns(trace_one)] * len(cfgs)
         return
-    lanes = _run_lanes(entry, obj, oracles, max_iters, trace_every, **kwargs)
+    lanes = _run_lanes(solve, obj, oracles, max_iters, trace_every)
     assert len(lanes) == len(cfgs)
     for cfg, oracle, (x, trace) in zip(cfgs, oracles, lanes):
         (x_one, trace_one), one = solve_one(
@@ -163,12 +167,13 @@ def test_lanes_hand_lane_0_gradients():
     obj = make_objective("least-squares", "off-centre")
     for oracle in ("gaussian-1", "minibatch-8"):
         cfgs = [OracleConfig(seed=s, **ORACLES[oracle]) for s in (4, 5)]
-        for entry, kwargs in METHODS.values():
+        for method in METHODS:
             oracles = [Oracle(obj, cfg) for cfg in cfgs]
             one = Oracle(obj, cfgs[0])
             oracles[0].grads, one.grads = [], []
-            _run_lanes(entry, obj, oracles, 20, 1, **kwargs)
-            getattr(ugbench.solvers, entry)(obj, one, max_iters=20, **kwargs)
+            solve = solve_of(method)
+            _run_lanes(solve, obj, oracles, 20, 1)
+            solve(obj, one, max_iters=20)
             assert oracles[1].grads is None
             assert len(oracles[0].grads) == len(one.grads) >= 20
             assert all(a.tobytes() == b.tobytes()
@@ -180,8 +185,7 @@ def test_lanes_share_the_pass_clock(method):
     obj = make_objective("least-squares", "default")
     oracles = [Oracle(obj, OracleConfig(kind="gaussian", sigma=1.0, seed=s))
                for s in range(3)]
-    entry, kwargs = METHODS[method]
-    lanes = _run_lanes(entry, obj, oracles, 50, 7, **kwargs)
+    lanes = _run_lanes(solve_of(method), obj, oracles, 50, 7)
     times = [[rec.wall_time_s for rec in trace] for _, trace in lanes]
     assert len(times[0]) == 50
     assert times[0] == times[1] == times[2]
@@ -207,7 +211,7 @@ def test_lanes_reject_mixed_oracles():
             [gaussian, RecordingOracle(Oracle(obj, cfgs[1]))],
             [RecordingOracle(Oracle(obj, cfgs[1])), gaussian]]:
         with pytest.raises(ValueError, match=REFUSED):
-            _run_lanes("run_usgm", obj, oracles, 5, 1)
+            _run_lanes(ugbench.solvers.run_usgm, obj, oracles, 5, 1)
 
 
 class NanDraw:
@@ -256,14 +260,13 @@ def test_non_finite_first_gradient_stops_lanes_as_one_seed(monkeypatch,
         NanDraw(make_rng(seed), 1, bad) if seed == 1 else make_rng(seed)))
     obj = make_objective("least-squares", "default")
     cfgs = [OracleConfig(kind="gaussian", sigma=1.0, seed=s) for s in range(3)]
-    entry, kwargs = METHODS[method]
     expected = ("non-finite distance" if method.startswith("sgd")
                 else "direction of finite dual norm")
     with pytest.raises(ValueError, match=expected) as one:
         solve_one(obj, cfgs[1], method, max_iters=10)
     with pytest.raises(ValueError) as lanes:
-        _run_lanes(entry, obj, [Oracle(obj, cfg) for cfg in cfgs], 10, 1,
-                   **kwargs)
+        _run_lanes(solve_of(method), obj, [Oracle(obj, cfg) for cfg in cfgs],
+                   10, 1)
     assert str(lanes.value) == str(one.value)
 
 
@@ -284,9 +287,9 @@ def test_infinite_draw_stops_adagrad_lanes_as_one_seed(monkeypatch, variant):
                                          gamma_variant=variant, max_iters=10)
     with (pytest.warns(RuntimeWarning, match="invalid value"),
           pytest.raises(ValueError) as lanes):
-        _run_lanes("run_adagrad_norm", obj,
-                   [Oracle(obj, cfg) for cfg in cfgs], 10, 1,
-                   gamma_variant=variant)
+        _run_lanes(partial(ugbench.solvers.run_adagrad_norm,
+                           gamma_variant=variant),
+                   obj, [Oracle(obj, cfg) for cfg in cfgs], 10, 1)
     assert str(lanes.value) == str(one.value)
 
 
@@ -321,10 +324,8 @@ def test_cli_lanes_write_what_the_per_seed_path_writes(tmp_path, monkeypatch,
               "--trace-every", "3", "--seeds", "0,1,2"]
     assert main([*common, "--out", str(tmp_path / "lanes")]) == 0
 
-    def per_seed(entry, obj, oracles, max_iters, trace_every, **kwargs):
-        solve = getattr(ugbench.solvers, entry)
-        return [solve(obj, oracle, max_iters=max_iters,
-                      trace_every=trace_every, **kwargs)
+    def per_seed(solve, obj, oracles, max_iters, trace_every):
+        return [solve(obj, oracle, max_iters=max_iters, trace_every=trace_every)
                 for oracle in oracles]
     monkeypatch.setattr(ugbench.solvers, "_run_lanes", per_seed)
     assert main([*common, "--out", str(tmp_path / "per-seed")]) == 0

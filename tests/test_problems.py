@@ -19,7 +19,7 @@ from ugbench.problems import (
     project_ball,
     prox_step,
 )
-from ugbench.solvers import _run_lanes, run_ugm, run_usfgm
+from ugbench.solvers import _run_lanes, run_ugm, run_usfgm, run_usgm
 
 
 @pytest.fixture
@@ -377,7 +377,7 @@ def test_lanes_need_a_built_in_objective():
     oracles = [Oracle(user, OracleConfig(kind="gaussian", sigma=1.0, seed=s))
                for s in (0, 1)]
     with pytest.raises(ValueError, match="on a built-in objective"):
-        _run_lanes("run_usgm", user, oracles, 5, 1)
+        _run_lanes(run_usgm, user, oracles, 5, 1)
 
 
 @pytest.mark.parametrize("build", [
@@ -396,6 +396,28 @@ def test_value_is_one_product_with_f_eval_bits(build):
         value = obj.value(x)
         assert A.count - start == 1
         assert float(value).hex() == float(obj.f_eval(x)[0]).hex()
+
+
+def test_user_objective_value_is_its_loss_of_one_product():
+    # a user objective with A and loss but no _loss_value: value(x) is
+    # loss(A x)[0] bit for bit, from one product and without f_eval
+    rng = np.random.Generator(np.random.Philox(19))
+    A = CountingMatrix(rng.random((8, 4)))
+
+    def loss(z):
+        return float(np.sum(np.log1p(z * z))), 2.0 * z / (1.0 + z * z)
+
+    def f_eval(x):
+        pytest.fail("value must not call f_eval")
+    user = CompositeObjective(f_eval=f_eval, domain=BallDomain(np.zeros(4), 1.0),
+                              metric=MetricSpace.euclidean(4), A=A, loss=loss)
+    assert user._loss_value is None
+    for _ in range(20):
+        x = sample_in_ball(user.domain, user.metric, rng)
+        start = A.count
+        value = user.value(x)
+        assert A.count - start == 1
+        assert float(value).hex() == loss(np.asarray(A) @ x)[0].hex()
 
 
 def _kinked(p=None):

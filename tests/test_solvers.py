@@ -502,7 +502,7 @@ class TestAdagradNorm:
             assert all(h2 >= h1 for h1, h2 in zip(hs, hs[1:]))
 
     def test_unknown_variant(self, ls_instance):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown gamma variant 'classic'"):
             run_adagrad_norm(ls_instance, gamma_variant="classic", max_iters=2)
 
     def test_no_variant_is_not_usgm(self, ls_instance):
@@ -554,8 +554,7 @@ def test_bad_iteration_counts_rejected_before_any_evaluation(
         if name == "lanes":
             oracles = [Oracle(ls_instance, OracleConfig(
                 kind="gaussian", sigma=1.0, seed=seed)) for seed in (0, 1)]
-            _run_lanes("run_usgm", ls_instance, oracles, max_iters,
-                       trace_every)
+            _run_lanes(run_usgm, ls_instance, oracles, max_iters, trace_every)
         else:
             oracle = None if name == "ugm" else OracleConfig(
                 kind="gaussian", sigma=1.0)

@@ -8,10 +8,11 @@ directory and the SHA-256 of each file there, with the CSV columns named
 oracles exact, gaussian:1.0 and minibatch:1/4/64 x --trace-every 1 and 7,
 with --seeds 0,1,2 and 1500 iterations: a run of every solver, two sweeps
 and a compare per cell, plus a few invocations that fail, a run of no
-iterations, three of two noisy seeds, two of eight noisy seeds, six on
-ppower:1 and ppower:2 and two on logistic with --radius 100.  An
-invocation is keyed by its argv and the entries made in its directory
-before the call.
+iterations, three of two noisy seeds, two compares of three noisy seeds
+on solver lists that test the domination column's rule, two of eight
+noisy seeds, six on ppower:1 and ppower:2 and two on logistic with
+--radius 100.  An invocation is keyed by its argv and the entries made in
+its directory before the call.
 
     python tools/bitgrid.py [--src DIR] [--manifest PATH]
     python tools/bitgrid.py --against REV
@@ -87,6 +88,12 @@ def grid():
     yield ["run", "--solver", "adagrad", "--oracle", "minibatch:4", *two], []
     yield ["compare", "--solvers", "usgm,adagrad", "--oracle", "gaussian:1.0",
            *two], []
+    # three noisy seeds of compare where the domination column's detection
+    # takes each branch: usgm last among three, and no grad_diff AdaGrad
+    three = ["--oracle", "gaussian:1.0", "--data", DATA, "--iters", "300",
+             "--seeds", "0,1,2", "--out", "out"]
+    yield ["compare", "--solvers", "adagrad:grad_diff,sgd:0.1,usgm", *three], []
+    yield ["compare", "--solvers", "usgm,adagrad:grad_norm", *three], []
     # eight noisy seeds of usfgm and sgd, which run as lanes
     eight = ["--data", DATA, "--iters", "300", "--seeds", "0,1,2,3,4,5,6,7",
              "--out", "out"]
