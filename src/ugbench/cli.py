@@ -100,10 +100,10 @@ OPTIONS = {f.name: f.metadata["option"] for f in fields(RunConfig)}
 def parse_config_file(path):
     """Flat `key = value` UTF-8 config file; '#' starts a comment.
 
-    A file that cannot be read, a line without '=' (such as one of bytes
-    that are not UTF-8) and a key given twice are configuration errors."""
-    try:
-        with open(path, encoding="utf-8", errors="replace") as fh:
+    A file that cannot be read, a line without '=', a key or value with a
+    byte that is not UTF-8 and a key given twice are configuration errors."""
+    try:  # a byte that is not UTF-8 reads as a lone surrogate, U+DC80-DCFF
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"--config {path}: {exc.strerror or exc}") from None
@@ -115,6 +115,8 @@ def parse_config_file(path):
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
+        if any("\udc80" <= ch <= "\udcff" for ch in line):
+            raise ConfigError(f"{path}:{lineno}: a byte that is not UTF-8")
         key = key.strip()
         if key in values:
             raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, "

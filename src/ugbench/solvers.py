@@ -6,22 +6,23 @@ closed form, where beta is a (surrogate) Bregman-distance term, rho = r^2/2
 with r the step length, and Omega = D^2 with D the domain diameter.  The
 diameter is the only parameter any of these methods needs.
 
-One loop, _run, owns the iteration of every method: the counter, the
-clock, which iterations are monitored (trace_every), the records and the
-running average.  Each run_* validates its inputs once, at entry, the
-start point's feasibility included, and hands _run a step that iterates on
-the unchecked kernels, whose outputs stay in the ball.  Per iteration only
-what outside code returns is checked: each subgradient (_gradient),
-AdaGrad's H and, at H = 0, the dual norm of the direction (_prox_step) and
-the finiteness of beta and H (balance_update).
-USGM and AdaGrad share one step, _stochastic_step, which differs only in
-the next H.  Every step takes its kernels from _kernels(x): the 1-D ones
-at one point, their lane forms over an S x n state.  _run_lanes runs
-seeds of any method as the lanes of one pass: the method's own run_*, on
-a lane view of the oracles (oracles._lane_view) and from S equal rows,
-gives each lane the bits of its one-seed solve and its oracle that
-solve's calls; the first oracle's grads, if a list, records lane 0's
-draws.  _run_seeds alone decides how a command's seeds are solved.
+One driver, _run, takes every solve from its oracle and start point to
+its returned point: it builds the oracle, checks the counts, the
+dimensions and that the start point lies in the ball, and owns the loop:
+the counter, the clock, which iterations are monitored (trace_every), the
+records and the running average.  Each run_* checks only its own
+arguments and hands _run one step function: _ugm_step, _stochastic_step
+(USGM and AdaGrad, which differ only in the next H), _usfgm_step or
+_subgrad_step.  A step iterates on the unchecked kernels of _kernels(x),
+whose outputs stay in the ball: the 1-D ones at one point, their lane
+forms over an S x n state.  Per iteration only what outside code returns
+is checked: each subgradient (_gradient), AdaGrad's H and, at H = 0, the
+dual norm of the direction (_prox_step) and the finiteness of beta and H
+(balance_update).  _run_lanes runs seeds of any method as the lanes of
+one pass: the method's own run_* on a lane view of the oracles
+(oracles._lane_view), from S equal rows, gives each lane the bits of its
+one-seed solve and its oracle that solve's calls (lane 0's draws go to
+the first oracle's grads, if a list).  _run_seeds decides the rest.
 """
 
 import math
@@ -111,24 +112,6 @@ def _diameter(obj, D):
     return check_diameter(obj.domain.diameter_D if D is None else D)
 
 
-def _start_point(obj, oracle, x0, max_iters, trace_every):
-    """x0, by default the ball's centre, as a new float64 vector in the
-    ball, or as S equal rows if oracle is a lane view of S oracles."""
-    check_iterations(max_iters, trace_every)
-    domain, metric = obj.domain, obj.metric
-    metric.check_dim(domain.center)
-    x = metric.check_dim(np.array(
-        domain.center if x0 is None else x0, dtype=np.float64))
-    _require_in_ball(x, domain, metric, "start point x0")
-    return np.tile(x, (oracle.lanes, 1)) if hasattr(oracle, "lanes") else x
-
-
-def _as_oracle(obj, oracle):
-    if oracle is None or isinstance(oracle, OracleConfig):
-        return Oracle(obj, oracle)
-    return oracle
-
-
 def _kernels(x):
     """(prox, project, norm, pairing, balance, adagrad_coefficient, H_0, nan)
     of a step over x; nan is what it records for an unmonitored F or beta.
@@ -143,14 +126,30 @@ def _kernels(x):
             np.full(S, math.nan))
 
 
-def _run(value, step, x, max_iters, callbacks, trace_every, averaged):
-    """Iterate step(k, traced) -> (x_k, F, H, r, beta, gap, calls) and trace.
+def _run(obj, oracle, x0, max_iters, callbacks, trace_every, averaged, start):
+    """One solve of obj, from its oracle and start point to its point.
 
-    traced marks every trace_every-th and the last iteration, where F and
-    the gap are monitored (nan elsewhere).  F None asks for value() at the
-    average of the x_k if averaged, else at x_k.  Returns (the average if
-    averaged, else the last x_k, or x if max_iters = 0; the trace).
+    oracle None or an OracleConfig becomes an Oracle on obj.  It checks the
+    counts, the dimensions and that x0 (by default the ball's centre) lies
+    in the ball; a lane view of S oracles starts from S equal rows.
+    start(oracle, x) gives step(k, traced) -> (x_k, F, H, r, beta, gap,
+    calls), iterated and traced here.  traced marks every trace_every-th
+    and the last iteration, where F and the gap are monitored (nan
+    elsewhere).  F None asks for value() at the average of the x_k if
+    averaged, else at x_k.  Returns (the average if averaged, else the
+    last x_k, or the start point if max_iters = 0; the trace).
     """
+    if oracle is None or isinstance(oracle, OracleConfig):
+        oracle = Oracle(obj, oracle)
+    check_iterations(max_iters, trace_every)
+    domain, metric, value = obj.domain, obj.metric, obj.value
+    metric.check_dim(domain.center)
+    x = metric.check_dim(np.array(
+        domain.center if x0 is None else x0, dtype=np.float64))
+    _require_in_ball(x, domain, metric, "start point x0")
+    if hasattr(oracle, "lanes"):
+        x = np.tile(x, (oracle.lanes, 1))
+    step = start(oracle, x)
     trace = []
     xbar_sum = np.zeros_like(x) if averaged else None
     t0 = time.monotonic()
@@ -177,14 +176,16 @@ def run_ugm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     Returns (best_x, trace); the trace carries the certificate gap eps_k*,
     a computable upper bound on F(best_x) - F*.
     """
-    oracle = _as_oracle(obj, oracle)
-    if not oracle.is_exact:
+    if oracle is not None and not oracle.is_exact:
         raise ValueError("run_ugm requires an exact oracle")
+    return _run(obj, oracle, x0, max_iters, callbacks, trace_every, False,
+                partial(_ugm_step, obj, _diameter(obj, D)))
+
+
+def _ugm_step(obj, D, oracle, x):
+    """run_ugm's step from x; its point is the best iterate so far."""
     domain, metric, f_eval = obj.domain, obj.metric, obj.f_eval
-    D = _diameter(obj, D)
-    omega = D * D
-    x = _start_point(obj, oracle, x0, max_iters, trace_every)
-    b, shape = metric.b_diag, x.shape
+    b, shape, omega = metric.b_diag, x.shape, D * D
     H = 0.0
     f_x, g_x = f_eval(x)
     g_x = _gradient(g_x, shape)
@@ -206,10 +207,8 @@ def run_ugm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
             acc.best_F, acc.best_x = f_next, x_next
         gap = acc.best_F - _phi_star(acc, domain, metric) if traced else math.nan
         x, f_x, g_x = x_next, f_next, g_next
-        return x, f_x, H, r, beta, gap, k
-
-    _, trace = _run(obj.value, step, x, max_iters, callbacks, trace_every, False)
-    return acc.best_x, trace
+        return acc.best_x, f_x, H, r, beta, gap, k
+    return step
 
 
 def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
@@ -220,14 +219,11 @@ def run_usgm(obj, oracle=None, D=None, max_iters=1000, callbacks=(),
     <g_{k+1} - g_k, x_{k+1} - x_k>; g_{k+1} is drawn strictly after
     x_{k+1} is fixed.
     """
-    oracle = _as_oracle(obj, oracle)
-    D = _diameter(obj, D)
-    x = _start_point(obj, oracle, x0, max_iters, trace_every)
-    return _run(obj.value, _stochastic_step(obj, oracle, D, x), x, max_iters,
-                callbacks, trace_every, True)
+    return _run(obj, oracle, x0, max_iters, callbacks, trace_every, True,
+                partial(_stochastic_step, obj, _diameter(obj, D), None))
 
 
-def _stochastic_step(obj, oracle, D, x, gamma_variant=None):
+def _stochastic_step(obj, D, gamma_variant, oracle, x):
     """run_usgm's step from x, or run_adagrad_norm's if gamma_variant is
     set, over one vector or S lanes (see _kernels).  Only the rule for the
     next H differs, and it is fixed here, not chosen per iteration."""
@@ -280,16 +276,18 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
     """
     if surrogate_mode not in ("stochastic_symmetrized", "deterministic_bregman"):
         raise ValueError(f"unknown surrogate mode {surrogate_mode!r}")
-    oracle = _as_oracle(obj, oracle)
     deterministic = surrogate_mode == "deterministic_bregman"
-    if deterministic and not oracle.is_exact:
+    if deterministic and oracle is not None and not oracle.is_exact:
         raise ValueError("deterministic_bregman mode requires an exact oracle")
-    domain, metric = obj.domain, obj.metric
-    D = _diameter(obj, D)
-    omega = D * D
-    x = _start_point(obj, oracle, x0, max_iters, trace_every)
+    return _run(obj, oracle, x0, max_iters, callbacks, trace_every, False,
+                partial(_usfgm_step, obj, _diameter(obj, D), deterministic))
+
+
+def _usfgm_step(obj, D, deterministic, oracle, x):
+    """run_usfgm's step from x, over one vector or S lanes (see _kernels)."""
     prox, _, norm, pairing, balance, _, H, nan = _kernels(x)
-    b, shape = metric.b_diag, x.shape
+    domain, metric = obj.domain, obj.metric
+    b, shape, omega = metric.b_diag, x.shape, D * D
     v = x
     # with mat set, z = mat @ x and the gradient is mat.T @ w; with mat
     # None, z = x and w is the gradient, checked by _gradient
@@ -331,8 +329,7 @@ def run_usfgm(obj, oracle=None, D=None, max_iters=1000,
         # a noisy oracle gives no f value: _run evaluates F(x)
         F = (None if math.isnan(f_next) else f_next) if traced else nan
         return x, F, H, r, beta_hat, math.nan, 2 * k
-
-    return _run(obj.value, step, x, max_iters, callbacks, trace_every, False)
+    return step
 
 
 def run_projected_subgrad(obj, oracle=None, step_rule=("decaying", 1.0),
@@ -346,11 +343,14 @@ def run_projected_subgrad(obj, oracle=None, step_rule=("decaying", 1.0),
     kind, c = step_rule
     if kind not in ("constant", "decaying"):
         raise ValueError(f"unknown step rule {kind!r}")
-    check_step(c)
-    oracle = _as_oracle(obj, oracle)
-    domain, metric, draw = obj.domain, obj.metric, oracle.draw
-    x = _start_point(obj, oracle, x0, max_iters, trace_every)
+    return _run(obj, oracle, x0, max_iters, callbacks, trace_every, True,
+                partial(_subgrad_step, obj, kind, check_step(c)))
+
+
+def _subgrad_step(obj, kind, c, oracle, x):
+    """run_projected_subgrad's step from x, over one vector or S lanes."""
     _, project, norm, _, _, _, H_0, nan = _kernels(x)
+    domain, metric, draw = obj.domain, obj.metric, oracle.draw
     b, shape = metric.b_diag, x.shape
 
     def step(k, traced):
@@ -362,8 +362,7 @@ def run_projected_subgrad(obj, oracle=None, step_rule=("decaying", 1.0),
         r = norm(b, x_next - x)
         x = x_next
         return x, None if traced else nan, H, r, nan, math.nan, oracle.calls
-
-    return _run(obj.value, step, x, max_iters, callbacks, trace_every, True)
+    return step
 
 
 _TINY = float(np.finfo(np.float64).tiny)
@@ -402,13 +401,10 @@ def run_adagrad_norm(obj, oracle=None, D=None, gamma_variant="grad_diff",
     is the classical ||g_i||_* (known not to work well for smooth
     constrained problems with a nonzero gradient at the solution).
     """
-    D = _diameter(obj, D)
-    oracle = _as_oracle(obj, oracle)
-    x = _start_point(obj, oracle, x0, max_iters, trace_every)
     if gamma_variant not in ("grad_diff", "grad_norm"):
         raise ValueError(f"unknown gamma variant {gamma_variant!r}")
-    step = _stochastic_step(obj, oracle, D, x, gamma_variant)
-    return _run(obj.value, step, x, max_iters, callbacks, trace_every, True)
+    return _run(obj, oracle, x0, max_iters, callbacks, trace_every, True,
+                partial(_stochastic_step, obj, _diameter(obj, D), gamma_variant))
 
 
 # Lanes: S seeds of one method in one pass over an S x n state.  Each

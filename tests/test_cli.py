@@ -720,6 +720,14 @@ class TestConfigFile:
     @pytest.mark.parametrize("data, error", [
         pytest.param(b"max_iters = 3\n\xff\n", "{}:2: expected key = value",
                      id="line"),
+        # a value or key holding such a byte used to read as U+FFFD, so that
+        # out = caf\xe9 wrote to a new directory and data = opened another file
+        pytest.param(b"max_iters = 3\nout = caf\xe9\n",
+                     "{}:2: a byte that is not UTF-8", id="value"),
+        pytest.param(b"data = caf\xe9.libsvm\n",
+                     "{}:1: a byte that is not UTF-8", id="data"),
+        pytest.param(b"max_\xe9iters = 3\n", "{}:1: a byte that is not UTF-8",
+                     id="key"),
         pytest.param(b"max_iters = 3 # \xff\n", None, id="comment")])
     def test_config_file_is_read_as_utf8(self, tmp_path, capsys, data, error):
         cfgfile = tmp_path / "run.cfg"

@@ -563,7 +563,63 @@ def test_bad_iteration_counts_rejected_before_any_evaluation(
     assert evaluated == []
 
 
-PROX_RUNS = {"ugm": run_ugm, "usgm": run_usgm, "usfgm": run_usfgm,
+# (id, entry, oracle, arguments, message): oracle is "exact" or "noisy" (an
+# Oracle) or "noisy config" (an OracleConfig); a "center" argument is the
+# ball's centre instead of the entry's
+ENTRY_CHECKS = [
+    ("noisy", "ugm", "noisy", {}, "run_ugm requires an exact oracle"),
+    ("noisy-config", "ugm", "noisy config", {}, "run_ugm requires an exact oracle"),
+    *[(f"noisy{form}-deterministic", "usfgm", "noisy" + form,
+       {"surrogate_mode": "deterministic_bregman"},
+       "deterministic_bregman mode requires an exact oracle")
+      for form in ("", " config")],
+    ("mode", "usfgm", "noisy", {"surrogate_mode": "nope"},
+     "unknown surrogate mode 'nope'"),
+    ("rule", "sgd", "noisy", {"step_rule": ("warp", 1.0)}, "unknown step rule 'warp'"),
+    ("variant", "adagrad", "noisy", {"gamma_variant": "classic"},
+     "unknown gamma variant 'classic'"),
+    ("step", "sgd", "noisy", {"step_rule": ("constant", math.nan)},
+     "step size must be finite and >= 0"),
+    *[("D", name, "exact" if name == "ugm" else "noisy", {"D": math.nan},
+       "D must be positive") for name in ("ugm", "usgm", "usfgm", "adagrad")],
+    *[(case, name, "exact" if name == "ugm" else "noisy", arguments, message)
+      for name in ENTRY_RUNS for case, arguments, message in (
+          ("x0-outside", {"x0": np.full(10, 1.0)},
+           "start point x0 is outside the ball"),
+          ("x0-shape", {"x0": np.zeros(11)},
+           r"vector has shape \(11,\), expected \(10,\)"),
+          ("center-shape", {"center": np.zeros(11)},
+           r"vector has shape \(11,\), expected \(10,\)"))],
+]
+
+
+@pytest.mark.parametrize("name, oracle, arguments, message",
+                         [case[1:] for case in ENTRY_CHECKS],
+                         ids=[f"{case[1]}-{case[0]}" for case in ENTRY_CHECKS])
+def test_entry_checks_run_before_any_evaluation(ls_instance, name, oracle,
+                                                arguments, message):
+    # nothing is evaluated or drawn before every entry check has passed,
+    # whichever of them fails
+    evaluated = []
+
+    def f_eval(x):
+        evaluated.append("f_eval")
+        return ls_instance.f_eval(x)
+    arguments = dict(arguments)
+    domain = BallDomain(arguments.pop("center", ls_instance.domain.center),
+                        ls_instance.domain.radius)
+    user = CompositeObjective(f_eval=f_eval, domain=domain,
+                              metric=ls_instance.metric)
+    user.value = lambda x: evaluated.append("value")
+    cfg = None if oracle == "exact" else OracleConfig(kind="gaussian", sigma=1.0)
+    oracle = cfg if oracle == "noisy config" else Oracle(user, cfg)
+    with pytest.raises(ValueError, match=message):
+        ENTRY_RUNS[name](user, oracle, max_iters=5, **arguments)
+    assert evaluated == []
+    assert getattr(oracle, "calls", 0) == 0
+
+
+PROX_RUNS ={"ugm": run_ugm, "usgm": run_usgm, "usfgm": run_usfgm,
              "adagrad": run_adagrad_norm}
 
 
